@@ -28,7 +28,7 @@
 //	cfsmdiag record      <system.json> -suite t.json      observation log
 //	cfsmdiag analyze     -spec s.json -suite t.json -obs o.json   offline analysis
 //	cfsmdiag serve       [-addr host:port] [-timeout d] [-pprof] [-tracing=false]
-//	                     [-logjson] [-quiet] [-legacy-api]
+//	                     [-logjson] [-quiet]
 //	                     [-oracle-timeout d] [-oracle-retries N] [-oracle-votes K]
 //	                     [-jobs] [-jobs-dir d] [-jobs-workers N] [-jobs-queue N]
 //	                     [-jobs-tenant-rate R] [-jobs-tenant-burst N]
@@ -40,7 +40,7 @@
 //	cfsmdiag jobs        <submit|status|result|cancel|list|watch|bench> ...
 //	                     client for the /v1/jobs batch API of a running service
 //	                     (watch and submit -wait follow the SSE event stream,
-//	                     falling back to long-polling, then interval polling);
+//	                     falling back to long-polling);
 //	                     bench runs the E13 throughput experiment in-process
 //	cfsmdiag loadgen     [-out BENCH_load.json] [-seed S] [-rates r1,r2,...]
 //	                     [-step d] [-base URL] [-gate f [-tolerance-p99 f]
@@ -361,9 +361,10 @@ func cmdDiagnose(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("usage: cfsmdiag diagnose -spec <spec.json> -iut <iut.json> | -paper  [-suite <suite.json>] [-trace out.jsonl] [-explain]")
 	}
-	var pm ports.Map
-	usePorts := *portsPath != ""
-	if usePorts {
+	// Without -ports every machine reports to one global observer: the
+	// classical pipeline, byte for byte.
+	pm := ports.Default(spec)
+	if *portsPath != "" {
 		data, err := os.ReadFile(*portsPath)
 		if err != nil {
 			return fmt.Errorf("ports: %w", err)
@@ -393,22 +394,27 @@ func cmdDiagnose(args []string, out io.Writer) error {
 		}
 	}
 	var collector *statsCollector
-	var opts []core.Option
+	var opts []ports.Option
 	if *stats {
 		collector = newStatsCollector()
 		defer collector.close()
-		opts = append(opts, core.WithRegistry(collector.reg))
+		opts = append(opts, ports.WithRegistry(collector.reg))
 	}
 	var tr *trace.Tracer
 	if *tracePath != "" || *chromePath != "" {
 		tr = trace.New()
-		opts = append(opts, core.WithTrace(tr))
+		opts = append(opts, ports.WithTrace(tr))
+	}
+	if *narrate {
+		opts = append(opts, ports.WithCoreOptions(core.WithTracer(&core.TextTracer{W: out, Spec: spec})))
 	}
 	// The oracle chain mirrors the deployment stack: the system under test,
 	// optionally perturbed by the chaos injector, optionally hardened by the
 	// resilient retry layer. Suite execution and the adaptive phase both go
 	// through the full chain, so injected faults on suite cases are absorbed
-	// (or surfaced as an unreliable-observation error) before analysis.
+	// (or surfaced as an unreliable-observation error) before analysis. The
+	// ports layer composes outside it: projections are taken of whatever the
+	// (possibly retried and voted) oracle reports.
 	base := &core.SystemOracle{Sys: iut}
 	var oracle core.Oracle = base
 	var injector *resilient.FaultInjector
@@ -431,59 +437,12 @@ func cmdDiagnose(args []string, out io.Writer) error {
 		hardened = resilient.NewRetryOracle(oracle, cfg)
 		oracle = hardened
 	}
-	observed := make([][]cfsm.Observation, len(suite))
-	for i, tc := range suite {
-		obs, err := oracle.Execute(tc)
-		if err != nil {
-			if errors.Is(err, core.ErrUnreliableObservation) {
-				// Step 6 can degrade to the inconclusive verdict, but Steps 1–5
-				// need a trusted baseline: without suite observations there is
-				// nothing to analyze.
-				return fmt.Errorf("suite case %s: %w — no trusted baseline for analysis; raise -oracle-retries/-oracle-votes or lower the -chaos-* rates", tc.Name, err)
-			}
-			return err
-		}
-		observed[i] = obs
-	}
-	// The replay header (spec, suite, observed outputs) goes in front of the
-	// analysis events so the JSONL file is a self-contained recorded run.
-	if err := replay.Record(tr, spec, suite, observed); err != nil {
-		return err
-	}
-	// The ports layer composes outside the resilient chain: projections are
-	// taken of whatever the (possibly retried and voted) oracle reports.
-	portsOpts := func() []ports.Option {
-		po := []ports.Option{ports.WithCoreOptions(opts...)}
-		if collector != nil {
-			po = append(po, ports.WithRegistry(collector.reg))
-		}
-		if tr != nil {
-			po = append(po, ports.WithTrace(tr))
-		}
-		return po
-	}
-	var a *core.Analysis
-	var prep *ports.Report
-	if usePorts {
-		a, prep, err = ports.AnalyzeObserved(spec, suite, observed, pm, portsOpts()...)
-	} else {
-		a, err = core.Analyze(spec, suite, observed, opts...)
-	}
-	if err != nil {
-		return err
-	}
-	if *narrate {
-		opts = append(opts, core.WithTracer(&core.TextTracer{W: out, Spec: spec}))
-	}
-	var loc *core.Localization
-	if usePorts {
-		var lrep *ports.Report
-		loc, lrep, err = ports.Localize(a, oracle, pm, portsOpts()...)
-		if lrep != nil && prep != nil {
-			prep.LocallyAmbiguousCandidates = lrep.LocallyAmbiguousCandidates
-		}
-	} else {
-		loc, err = core.Localize(a, oracle, opts...)
+	loc, prep, err := ports.Diagnose(spec, suite, oracle, pm, opts...)
+	if errors.Is(err, core.ErrUnreliableObservation) {
+		// Step 6 degrades to the inconclusive verdict instead, so this is a
+		// suite case: Steps 1–5 need a trusted baseline, and without suite
+		// observations there is nothing to analyze.
+		return fmt.Errorf("%w — no trusted baseline for analysis; raise -oracle-retries/-oracle-votes or lower the -chaos-* rates", err)
 	}
 	if err != nil {
 		return err
@@ -495,11 +454,11 @@ func cmdDiagnose(args []string, out io.Writer) error {
 		}
 		fmt.Fprint(out, md)
 	} else {
-		fmt.Fprint(out, a.Report())
+		fmt.Fprint(out, loc.Analysis.Report())
 		fmt.Fprint(out, loc.Report())
 		fmt.Fprintf(out, "cost: %d tests, %d inputs (suite: %d tests)\n", base.Tests, base.Inputs, len(suite))
 	}
-	if prep != nil && !prep.Single {
+	if !prep.Single {
 		fmt.Fprintf(out, "ports: %d observers (%s); %d of %d cases ambiguous, %d consistent interleavings considered\n",
 			len(prep.Ports), strings.Join(prep.Ports, ", "),
 			prep.AmbiguousCases, prep.Cases, prep.InterleavingsExplored)
@@ -825,10 +784,9 @@ func cmdRecord(args []string, out io.Writer) error {
 // With -jobs it also mounts the durable /v1/jobs batch API, with -cluster the
 // /v1/cluster distributed-sweep coordinator, and with -worker the process
 // doubles as a sweep worker that pulls mutant ranges from -coordinator peers
-// (plus POST /v1/cluster/attach for ad-hoc attachment). The unversioned
-// /api/* aliases are sunset (410 Gone) unless -legacy-api restores them. It
-// shuts down gracefully on SIGINT/SIGTERM, draining in-flight requests and
-// running jobs before persisting the queue.
+// (plus POST /v1/cluster/attach for ad-hoc attachment). It shuts down
+// gracefully on SIGINT/SIGTERM, draining in-flight requests and running jobs
+// before persisting the queue.
 func cmdServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
@@ -837,7 +795,6 @@ func cmdServe(args []string, out io.Writer) error {
 	tracing := fs.Bool("tracing", true, "honor ?trace=1 on /v1/diagnose (inline structured traces)")
 	logJSON := fs.Bool("logjson", false, "emit access logs as JSON instead of text")
 	quiet := fs.Bool("quiet", false, "disable access logging")
-	legacyAPI := fs.Bool("legacy-api", false, "restore the deprecated unversioned /api/* aliases (default: 410 Gone with a successor Link)")
 	oracleTimeout := fs.Duration("oracle-timeout", 0, "per-execution oracle timeout for diagnoses (0 = none); enables the resilient retry layer")
 	oracleRetries := fs.Int("oracle-retries", 0, "failed oracle executions tolerated per diagnostic query")
 	oracleVotes := fs.Int("oracle-votes", 0, "successful executions majority-voted per diagnostic test (<=1 = no voting)")
@@ -872,7 +829,6 @@ func cmdServe(args []string, out io.Writer) error {
 		EnablePprof:         *pprofOn,
 		EnableTracing:       *tracing,
 		InstrumentSimulator: true,
-		EnableLegacyAPI:     *legacyAPI,
 		OracleTimeout:       *oracleTimeout,
 		OracleRetries:       *oracleRetries,
 		OracleVotes:         *oracleVotes,

@@ -33,14 +33,10 @@ func parseInputs(s string) ([]cfsm.Input, error) {
 	return out, nil
 }
 
-// suiteJSON is the on-disk format of a test suite.
+// suiteJSON is the on-disk format of a test suite: the shared wire form of
+// its cases under a "testcases" key.
 type suiteJSON struct {
-	TestCases []testCaseJSON `json:"testcases"`
-}
-
-type testCaseJSON struct {
-	Name   string   `json:"name"`
-	Inputs []string `json:"inputs"`
+	TestCases []cfsm.TestCaseJSON `json:"testcases"`
 }
 
 // parseSuite decodes a test-suite file.
@@ -49,28 +45,9 @@ func parseSuite(data []byte) ([]cfsm.TestCase, error) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("decode suite: %w", err)
 	}
-	var out []cfsm.TestCase
-	// Analysis keys its per-case maps by test-case name; a collision would
-	// silently attribute one case's observations to the other, so reject it
-	// here like the server's /v1 decoder does.
-	seen := make(map[string]bool, len(doc.TestCases))
-	for i, tj := range doc.TestCases {
-		tc := cfsm.TestCase{Name: tj.Name}
-		if tc.Name == "" {
-			tc.Name = fmt.Sprintf("tc%d", i+1)
-		}
-		if seen[tc.Name] {
-			return nil, fmt.Errorf("suite names two test cases %q; test-case names must be unique", tc.Name)
-		}
-		seen[tc.Name] = true
-		for _, tok := range tj.Inputs {
-			in, err := parseInput(tok)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", tc.Name, err)
-			}
-			tc.Inputs = append(tc.Inputs, in)
-		}
-		out = append(out, tc)
+	out, err := cfsm.DecodeSuite(doc.TestCases)
+	if err != nil {
+		return nil, err
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("suite contains no test cases")
@@ -80,15 +57,7 @@ func parseSuite(data []byte) ([]cfsm.TestCase, error) {
 
 // marshalSuite encodes a suite in the on-disk format.
 func marshalSuite(suite []cfsm.TestCase) ([]byte, error) {
-	doc := suiteJSON{}
-	for _, tc := range suite {
-		tj := testCaseJSON{Name: tc.Name}
-		for _, in := range tc.Inputs {
-			tj.Inputs = append(tj.Inputs, in.String())
-		}
-		doc.TestCases = append(doc.TestCases, tj)
-	}
-	return json.MarshalIndent(doc, "", "  ")
+	return json.MarshalIndent(suiteJSON{TestCases: cfsm.EncodeSuite(suite)}, "", "  ")
 }
 
 // obsJSON is the on-disk format of recorded observations: one sequence of

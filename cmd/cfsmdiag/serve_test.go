@@ -83,19 +83,16 @@ func TestCLIServe(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(out), `"machines":3`) {
 		t.Fatalf("status %d body %s", resp.StatusCode, out)
 	}
-	// Without -legacy-api the unversioned alias is sunset: 410 plus a Link to
-	// the successor route.
+	// The unversioned /api/* aliases of the first release are gone: they
+	// fall through to the not_found catch-all like any unknown route.
 	legacy, err := http.Post(url+"/api/validate", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST legacy: %v", err)
 	}
 	defer legacy.Body.Close()
 	legacyOut, _ := io.ReadAll(legacy.Body)
-	if legacy.StatusCode != http.StatusGone {
-		t.Fatalf("legacy alias status %d body %s, want 410", legacy.StatusCode, legacyOut)
-	}
-	if link := legacy.Header.Get("Link"); !strings.Contains(link, "/v1/validate") {
-		t.Fatalf("legacy alias Link = %q, want the /v1/validate successor", link)
+	if legacy.StatusCode != http.StatusNotFound || !strings.Contains(string(legacyOut), `"code":"not_found"`) {
+		t.Fatalf("legacy alias status %d body %s, want 404 not_found", legacy.StatusCode, legacyOut)
 	}
 	// The server goroutine keeps serving; the test binary tears it down on
 	// exit (the listener is bound to an ephemeral port owned by this test).

@@ -14,7 +14,7 @@ import (
 	"cfsmdiag/internal/server"
 )
 
-// isStatusPoll matches GET /v1/jobs/{id} exactly — the legacy poll target.
+// isStatusPoll matches GET /v1/jobs/{id} exactly — the status route.
 // The result fetch (/result suffix) and the events route are not polls.
 func isStatusPoll(r *http.Request) bool {
 	if r.Method != http.MethodGet {
@@ -85,47 +85,6 @@ func TestWatchStreamsWithoutStatusPolls(t *testing.T) {
 	}
 	if n := polls.Load(); n != 0 {
 		t.Fatalf("watch issued %d status polls against a streaming server, want 0", n)
-	}
-}
-
-// TestWatchFallsBackToPollingWithoutEventsRoute simulates a server predating
-// the events stream: the watch must drop down the ladder to the legacy
-// status poll and still complete.
-func TestWatchFallsBackToPollingWithoutEventsRoute(t *testing.T) {
-	srv, polls := newWatchServer(t)
-	// Front the real service with a proxy that pretends the events route
-	// does not exist.
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/events") {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusNotFound)
-			w.Write([]byte(`{"error":{"code":"not_found","message":"unknown route"}}`))
-			return
-		}
-		resp, err := http.Get(srv.URL + r.URL.Path)
-		if err != nil {
-			w.WriteHeader(http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.WriteHeader(resp.StatusCode)
-		buf := new(bytes.Buffer)
-		buf.ReadFrom(resp.Body)
-		w.Write(buf.Bytes())
-	}))
-	defer legacy.Close()
-
-	id := submitPaperJob(t, srv.URL)
-	var out bytes.Buffer
-	if err := watchJob(legacy.URL, id, 20*time.Millisecond, &out); err != nil {
-		t.Fatalf("watchJob: %v\n%s", err, out.String())
-	}
-	if got := out.String(); !strings.Contains(got, "state=succeeded") {
-		t.Fatalf("fallback watch did not reach the terminal state:\n%s", got)
-	}
-	if polls.Load() == 0 {
-		t.Fatalf("fallback watch never hit the status route — which rung served it?")
 	}
 }
 

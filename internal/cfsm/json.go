@@ -112,3 +112,61 @@ func FromJSON(doc SystemJSON) (*System, error) {
 	}
 	return NewSystem(machines...)
 }
+
+// TestCaseJSON is the wire form of one test case: its name and its inputs in
+// the token notation the library prints ("R", "a^1", "c'^3"). The CLI's suite
+// files, the HTTP service, the job queue and the cluster protocol all carry
+// suites as arrays of it.
+type TestCaseJSON struct {
+	Name   string   `json:"name"`
+	Inputs []string `json:"inputs"`
+}
+
+// DuplicateTestCaseError reports a suite naming two test cases identically.
+// The analysis keys its per-case results by test-case name, so a collision
+// would silently attribute one case's observations to the other; DecodeSuite
+// rejects it instead.
+type DuplicateTestCaseError struct{ Name string }
+
+func (e *DuplicateTestCaseError) Error() string {
+	return fmt.Sprintf("suite names two test cases %q; test-case names must be unique", e.Name)
+}
+
+// EncodeSuite renders a suite in wire form.
+func EncodeSuite(suite []TestCase) []TestCaseJSON {
+	out := make([]TestCaseJSON, len(suite))
+	for i, tc := range suite {
+		out[i].Name = tc.Name
+		for _, in := range tc.Inputs {
+			out[i].Inputs = append(out[i].Inputs, in.String())
+		}
+	}
+	return out
+}
+
+// DecodeSuite parses a wire-form suite. An unnamed case is named "tc<n>" after
+// its 1-based position; two cases with the same name fail with a
+// *DuplicateTestCaseError.
+func DecodeSuite(cases []TestCaseJSON) ([]TestCase, error) {
+	var out []TestCase
+	seen := make(map[string]bool, len(cases))
+	for i, tj := range cases {
+		tc := TestCase{Name: tj.Name}
+		if tc.Name == "" {
+			tc.Name = fmt.Sprintf("tc%d", i+1)
+		}
+		if seen[tc.Name] {
+			return nil, &DuplicateTestCaseError{Name: tc.Name}
+		}
+		seen[tc.Name] = true
+		for _, tok := range tj.Inputs {
+			in, err := ParseInputToken(tok)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", tc.Name, err)
+			}
+			tc.Inputs = append(tc.Inputs, in)
+		}
+		out = append(out, tc)
+	}
+	return out, nil
+}

@@ -27,7 +27,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"time"
 
 	"cfsmdiag/internal/cfsm"
@@ -64,46 +63,6 @@ const (
 )
 
 // --- wire formats ---
-
-// CaseJSON is the wire form of one test case, the same token format as the
-// CLI and the /v1 suite endpoints ("a^1", "R").
-type CaseJSON struct {
-	Name   string   `json:"name"`
-	Inputs []string `json:"inputs"`
-}
-
-// EncodeCases renders a suite in wire form.
-func EncodeCases(suite []cfsm.TestCase) []CaseJSON {
-	out := make([]CaseJSON, len(suite))
-	for i, tc := range suite {
-		cj := CaseJSON{Name: tc.Name}
-		for _, in := range tc.Inputs {
-			cj.Inputs = append(cj.Inputs, in.String())
-		}
-		out[i] = cj
-	}
-	return out
-}
-
-// DecodeCases parses a wire-form suite.
-func DecodeCases(cases []CaseJSON) ([]cfsm.TestCase, error) {
-	var out []cfsm.TestCase
-	for i, cj := range cases {
-		tc := cfsm.TestCase{Name: cj.Name}
-		if tc.Name == "" {
-			tc.Name = fmt.Sprintf("tc%d", i+1)
-		}
-		for _, tok := range cj.Inputs {
-			in, err := cfsm.ParseInputToken(tok)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", tc.Name, err)
-			}
-			tc.Inputs = append(tc.Inputs, in)
-		}
-		out = append(out, tc)
-	}
-	return out, nil
-}
 
 // FaultJSON is the wire form of a fault.Fault. Dest carries no omitempty:
 // machine index 0 is a valid faulty destination for the addressing
@@ -183,7 +142,7 @@ type CreateRequest struct {
 	SpecRef string          `json:"specRef,omitempty"`
 	// Suite is the initial test suite; omitted selects the generated
 	// transition tour of the spec.
-	Suite []CaseJSON `json:"suite,omitempty"`
+	Suite []cfsm.TestCaseJSON `json:"suite,omitempty"`
 	// RangeSize is the number of consecutive mutant indices per shard;
 	// <= 0 selects the coordinator's default.
 	RangeSize        int  `json:"rangeSize,omitempty"`
@@ -200,15 +159,15 @@ type LeaseRequest struct {
 // token that must accompany the result push, and the deadline after which
 // the range may be re-leased to someone else.
 type Lease struct {
-	Sweep     string          `json:"sweep"`
-	Range     int             `json:"range"` // range index within the sweep
-	Lo        int             `json:"lo"`    // first fault-enumeration index
-	Hi        int             `json:"hi"`    // one past the last index
-	Token     int64           `json:"token"` // fencing token
-	TTLMillis int64           `json:"ttlMillis"`
-	Spec      json.RawMessage `json:"spec"`
-	Suite     []CaseJSON      `json:"suite"`
-	Options   Options         `json:"options"`
+	Sweep     string              `json:"sweep"`
+	Range     int                 `json:"range"` // range index within the sweep
+	Lo        int                 `json:"lo"`    // first fault-enumeration index
+	Hi        int                 `json:"hi"`    // one past the last index
+	Token     int64               `json:"token"` // fencing token
+	TTLMillis int64               `json:"ttlMillis"`
+	Spec      json.RawMessage     `json:"spec"`
+	Suite     []cfsm.TestCaseJSON `json:"suite"`
+	Options   Options             `json:"options"`
 }
 
 // ReportRequest is the wire form of a range's result push.

@@ -74,7 +74,7 @@ type sweep struct {
 	spec      *cfsm.System
 	specDoc   json.RawMessage // canonical document handed to workers
 	suite     []cfsm.TestCase
-	suiteWire []CaseJSON
+	suiteWire []cfsm.TestCaseJSON
 	opts      Options
 	rangeSize int
 	mutants   int
@@ -170,7 +170,7 @@ func (c *Coordinator) Create(spec *cfsm.System, suite []cfsm.TestCase, opts Opti
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw := c.buildLocked(c.issueIDLocked(), c.cfg.now(), spec, doc, suite, EncodeCases(suite), opts, rangeSize, mutants)
+	sw := c.buildLocked(c.issueIDLocked(), c.cfg.now(), spec, doc, suite, cfsm.EncodeSuite(suite), opts, rangeSize, mutants)
 	if c.jl != nil {
 		if err := c.jl.append(journalRecord{
 			Op: opCreate, Sweep: sw.id, At: sw.createdAt,
@@ -190,7 +190,7 @@ func (c *Coordinator) Create(spec *cfsm.System, suite []cfsm.TestCase, opts Opti
 }
 
 // buildLocked installs a sweep with every range pending.
-func (c *Coordinator) buildLocked(id string, at time.Time, spec *cfsm.System, doc json.RawMessage, suite []cfsm.TestCase, suiteWire []CaseJSON, opts Options, rangeSize, mutants int) *sweep {
+func (c *Coordinator) buildLocked(id string, at time.Time, spec *cfsm.System, doc json.RawMessage, suite []cfsm.TestCase, suiteWire []cfsm.TestCaseJSON, opts Options, rangeSize, mutants int) *sweep {
 	sw := &sweep{
 		id: id, createdAt: at, state: SweepRunning,
 		spec: spec, specDoc: doc, suite: suite, suiteWire: suiteWire,
@@ -476,7 +476,7 @@ func (c *Coordinator) replay(records []journalRecord) error {
 			if err != nil {
 				return fmt.Errorf("cluster: journal sweep %s: %w", rec.Sweep, err)
 			}
-			suite, err := DecodeCases(rec.Suite)
+			suite, err := cfsm.DecodeSuite(rec.Suite)
 			if err != nil {
 				return fmt.Errorf("cluster: journal sweep %s: %w", rec.Sweep, err)
 			}

@@ -117,9 +117,14 @@ func (c *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request, resol
 		api.WriteError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, err)
 		return
 	}
-	suite, err := DecodeCases(req.Suite)
+	suite, err := cfsm.DecodeSuite(req.Suite)
 	if err != nil {
-		api.WriteError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, err)
+		code := api.CodeUnprocessable
+		var dup *cfsm.DuplicateTestCaseError
+		if errors.As(err, &dup) {
+			code = api.CodeDuplicateTestCase
+		}
+		api.WriteError(w, http.StatusUnprocessableEntity, code, err)
 		return
 	}
 	if len(suite) == 0 {

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"cfsmdiag/internal/cfsm"
 )
 
 // Journal operations. Creations record the full sweep inputs; results record
@@ -25,10 +27,10 @@ type journalRecord struct {
 	Sweep string    `json:"sweep"`
 	At    time.Time `json:"at,omitempty"`
 	// create fields
-	Spec      json.RawMessage `json:"spec,omitempty"`
-	Suite     []CaseJSON      `json:"suite,omitempty"`
-	Options   *Options        `json:"options,omitempty"`
-	RangeSize int             `json:"rangeSize,omitempty"`
+	Spec      json.RawMessage     `json:"spec,omitempty"`
+	Suite     []cfsm.TestCaseJSON `json:"suite,omitempty"`
+	Options   *Options            `json:"options,omitempty"`
+	RangeSize int                 `json:"rangeSize,omitempty"`
 	// result fields
 	Range   int          `json:"range"`
 	Reports []ReportJSON `json:"reports,omitempty"`

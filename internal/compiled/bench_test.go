@@ -39,7 +39,7 @@ func benchmarkSweep(b *testing.B, interpreted bool) {
 }
 
 func BenchmarkSweepInterpreted(b *testing.B) { benchmarkSweep(b, true) }
-func BenchmarkSweepCompiled(b *testing.B)   { benchmarkSweep(b, false) }
+func BenchmarkSweepCompiled(b *testing.B)    { benchmarkSweep(b, false) }
 
 // BenchmarkSweepTour is the workload behind the workers=1 row of
 // BENCH_sweep.json (`cfsmdiag sweep -paper -benchjson`): the Figure 1 sweep

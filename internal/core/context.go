@@ -36,7 +36,32 @@ func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCa
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	m := newMetrics(cfg.registry)
+	observed, err := executeSuite(ctx, suite, oracle, newMetrics(cfg.registry))
+	if err != nil {
+		return nil, err
+	}
+	a, err := Analyze(spec, suite, observed, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return localize(ctx, a, oracle, &cfg)
+}
+
+// ExecuteSuite runs every test case of the suite through the oracle and
+// returns the observations in suite order. The oracle is decorated exactly
+// as in Step 6, so the context is checked before every case (and handed to
+// a ContextOracle) and each case counts toward the oracle query and input
+// metrics of the configured registry.
+func ExecuteSuite(ctx context.Context, suite []cfsm.TestCase, oracle Oracle, opts ...Option) ([][]cfsm.Observation, error) {
+	cfg := defaultSettings()
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return executeSuite(ctx, suite, oracle, newMetrics(cfg.registry))
+}
+
+// executeSuite is the one place a suite is executed.
+func executeSuite(ctx context.Context, suite []cfsm.TestCase, oracle Oracle, m metrics) ([][]cfsm.Observation, error) {
 	wrapped := wrapOracle(oracle, ctx, m)
 	observed := make([][]cfsm.Observation, len(suite))
 	for i, tc := range suite {
@@ -46,11 +71,7 @@ func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCa
 		}
 		observed[i] = obs
 	}
-	a, err := Analyze(spec, suite, observed, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return localize(ctx, a, oracle, &cfg)
+	return observed, nil
 }
 
 // wrapOracle decorates an oracle with context + metrics exactly once; an

@@ -28,12 +28,12 @@ type CompileBenchRecord struct {
 	NumSymbols     int   `json:"num_symbols"`
 	Configurations int   `json:"configurations"`
 
-	InterpretedSweepNsPerOp  int64 `json:"interpreted_sweep_ns_per_op"`
-	InterpretedNsPerMutant   int64 `json:"interpreted_ns_per_mutant"`
-	InterpretedAllocsPerOp   int64 `json:"interpreted_allocs_per_op"`
-	CompiledSweepNsPerOp     int64 `json:"compiled_sweep_ns_per_op"`
-	CompiledNsPerMutant      int64 `json:"compiled_ns_per_mutant"`
-	CompiledAllocsPerOp      int64 `json:"compiled_allocs_per_op"`
+	InterpretedSweepNsPerOp  int64   `json:"interpreted_sweep_ns_per_op"`
+	InterpretedNsPerMutant   int64   `json:"interpreted_ns_per_mutant"`
+	InterpretedAllocsPerOp   int64   `json:"interpreted_allocs_per_op"`
+	CompiledSweepNsPerOp     int64   `json:"compiled_sweep_ns_per_op"`
+	CompiledNsPerMutant      int64   `json:"compiled_ns_per_mutant"`
+	CompiledAllocsPerOp      int64   `json:"compiled_allocs_per_op"`
 	SweepSpeedup             float64 `json:"sweep_speedup"`
 	SweepAllocReductionRatio float64 `json:"sweep_alloc_reduction_ratio"`
 

@@ -8,6 +8,7 @@ import (
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/obs"
+	"cfsmdiag/internal/replay"
 	"cfsmdiag/internal/trace"
 )
 
@@ -29,16 +30,24 @@ func newConfig(opts []Option) config {
 	return cfg
 }
 
-// WithRegistry attaches an observability registry for the ports-layer metric
-// families (see metrics.go). Core-pipeline metrics are configured separately
-// through WithCoreOptions.
+// WithRegistry attaches an observability registry to the whole pipeline:
+// the ports-layer metric families (see metrics.go) and, forwarded as
+// core.WithRegistry, the core pipeline's.
 func WithRegistry(r *obs.Registry) Option {
-	return func(c *config) { c.registry = r }
+	return func(c *config) {
+		c.registry = r
+		c.coreOpts = append(c.coreOpts, core.WithRegistry(r))
+	}
 }
 
-// WithTrace attaches a structured tracer for the ports.* event kinds.
+// WithTrace attaches a structured tracer to the whole pipeline: the ports.*
+// event kinds, the core analysis and localization events (forwarded as
+// core.WithTrace) and, in DiagnoseContext, the replay header.
 func WithTrace(t *trace.Tracer) Option {
-	return func(c *config) { c.tracer = t }
+	return func(c *config) {
+		c.tracer = t
+		c.coreOpts = append(c.coreOpts, core.WithTrace(t))
+	}
 }
 
 // WithCoreOptions forwards options to the underlying core.Analyze and
@@ -234,32 +243,29 @@ func LocalizeContext(ctx context.Context, a *core.Analysis, oracle core.Oracle, 
 	return loc, rep, err
 }
 
-// Diagnose is the end-to-end convenience: execute the suite through the
-// oracle, analyze the projections (AnalyzeObserved), then localize
-// adaptively (Localize). The returned report merges both phases.
+// Diagnose is DiagnoseContext without cancellation.
 func Diagnose(spec *cfsm.System, suite []cfsm.TestCase, oracle core.Oracle, pm Map, opts ...Option) (*core.Localization, *Report, error) {
 	return DiagnoseContext(context.Background(), spec, suite, oracle, pm, opts...)
 }
 
-// DiagnoseContext is Diagnose with cancellation: suite execution, analysis
-// and localization all stop at the next oracle or round boundary once the
-// context is done.
+// DiagnoseContext is the end-to-end diagnosis every production caller runs:
+// execute the suite through the oracle (core.ExecuteSuite), record the
+// replay header when a tracer is attached, analyze the projections
+// (AnalyzeObserved), then localize adaptively (LocalizeContext). Callers
+// without a port map pass Default, under which every phase is the classical
+// pipeline byte for byte. Suite execution, analysis and localization all
+// stop at the next oracle or round boundary once the context is done. The
+// returned report merges both phases.
 func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, oracle core.Oracle, pm Map, opts ...Option) (*core.Localization, *Report, error) {
 	cfg := newConfig(opts)
-	if pm.Single() {
-		loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, cfg.coreOpts...)
-		return loc, &Report{Single: true, Ports: pm.PortNames(), Cases: len(suite)}, err
+	observed, err := core.ExecuteSuite(ctx, suite, oracle, cfg.coreOpts...)
+	if err != nil {
+		return nil, nil, err
 	}
-	observed := make([][]cfsm.Observation, len(suite))
-	for i, tc := range suite {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		o, err := oracle.Execute(tc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ports: execute %s: %w", tc.Name, err)
-		}
-		observed[i] = o
+	// The replay header (spec, suite, observed outputs) goes in front of the
+	// analysis events, so the trace is a self-contained recorded run.
+	if err := replay.Record(cfg.tracer, spec, suite, observed); err != nil {
+		return nil, nil, err
 	}
 	a, rep, err := AnalyzeObserved(spec, suite, observed, pm, opts...)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package api holds the wire conventions shared by every HTTP surface of
 // the diagnosis service: the single error envelope, its machine-readable
-// codes, the JSON response writer, the deprecation/sunset headers of the
-// legacy routes, and the pagination query contract of the list endpoints.
+// codes, the JSON response writer, and the pagination query contract of the
+// list endpoints.
 //
 // The job surface (/v1/jobs), the cluster surface (/v1/cluster) and the
 // core diagnosis routes all answer errors through WriteError, so clients
@@ -39,7 +39,6 @@ const (
 	CodeTenantRateLimited = "tenant_rate_limited"
 	CodeConflict          = "conflict"
 	CodeUnavailable       = "unavailable"
-	CodeGone              = "gone"
 	CodeLeaseExpired      = "lease_expired"
 	// CodeInvalidPortMap: the distributed-observation port map of a diagnose
 	// or analyze request failed validation (unknown machine, unassigned
@@ -85,27 +84,6 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // WriteError writes the error envelope with the given status and code.
 func WriteError(w http.ResponseWriter, status int, code string, err error) {
 	WriteJSON(w, status, ErrorEnvelope{Error: ErrorDetail{Code: code, Message: err.Error()}})
-}
-
-// Deprecate stamps the deprecation headers of a legacy route that is still
-// served: "Deprecation: true" plus a Link to the successor route.
-func Deprecate(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", SuccessorLink(successor))
-}
-
-// Gone answers a sunset legacy route: 410 with the successor Link and the
-// "gone" envelope code, so clients learn the replacement from the error
-// itself.
-func Gone(w http.ResponseWriter, route, successor string) {
-	w.Header().Set("Link", SuccessorLink(successor))
-	WriteError(w, http.StatusGone, CodeGone,
-		fmt.Errorf("%s was sunset; use %s (re-enable temporarily with -legacy-api)", route, successor))
-}
-
-// SuccessorLink renders the RFC 8288 successor-version Link header value.
-func SuccessorLink(successor string) string {
-	return fmt.Sprintf("<%s>; rel=\"successor-version\"", successor)
 }
 
 // Page is the decoded pagination window of a list request.

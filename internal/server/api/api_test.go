@@ -27,35 +27,6 @@ func TestWriteErrorEnvelope(t *testing.T) {
 	}
 }
 
-func TestDeprecateHeaders(t *testing.T) {
-	rec := httptest.NewRecorder()
-	Deprecate(rec, "/v1/validate")
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Fatal("missing Deprecation header")
-	}
-	if got, want := rec.Header().Get("Link"), `</v1/validate>; rel="successor-version"`; got != want {
-		t.Fatalf("Link = %q, want %q", got, want)
-	}
-}
-
-func TestGone(t *testing.T) {
-	rec := httptest.NewRecorder()
-	Gone(rec, "/api/validate", "/v1/validate")
-	if rec.Code != http.StatusGone {
-		t.Fatalf("status = %d, want 410", rec.Code)
-	}
-	if rec.Header().Get("Link") != `</v1/validate>; rel="successor-version"` {
-		t.Fatalf("Link = %q", rec.Header().Get("Link"))
-	}
-	var env ErrorEnvelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error.Code != CodeGone {
-		t.Fatalf("code = %q, want %q", env.Error.Code, CodeGone)
-	}
-}
-
 func TestParsePage(t *testing.T) {
 	cases := []struct {
 		query   string

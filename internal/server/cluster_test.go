@@ -144,3 +144,23 @@ func TestClusterWorkerAttachRoute(t *testing.T) {
 		t.Fatalf("coordinators = %v", got)
 	}
 }
+
+// TestClusterSweepRejectsDuplicateTestCase: the cluster surface decodes
+// suites with the shared codec, so a suite naming two cases alike answers
+// 422 duplicate_test_case exactly as /v1/diagnose does.
+func TestClusterSweepRejectsDuplicateTestCase(t *testing.T) {
+	_, srv := newClusterService(t, Config{})
+	resp, body := post(t, srv, cluster.Prefix+"/sweeps", cluster.CreateRequest{
+		Spec: systemDoc(t, paper.MustFigure1()),
+		Suite: []testCaseJSON{
+			{Name: "T1", Inputs: []string{"R"}},
+			{Name: "T1", Inputs: []string{"R"}},
+		},
+	})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	if code := errCode(t, body); code != codeDuplicateTestCase {
+		t.Errorf("code = %q, want %q", code, codeDuplicateTestCase)
+	}
+}

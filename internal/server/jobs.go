@@ -298,7 +298,7 @@ func (s *api) execDiagnose(ctx context.Context, payload json.RawMessage) (json.R
 	if err := s.suiteSizeErr("suite", len(req.Suite), func(i int) int { return len(req.Suite[i].Inputs) }); err != nil {
 		return nil, err
 	}
-	resp, err := s.runDiagnose(ctx, req)
+	resp, err := s.runDiagnose(ctx, req, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +348,7 @@ func (s *api) execSweep(ctx context.Context, payload json.RawMessage) (json.RawM
 	}
 	var suite []cfsm.TestCase
 	if len(req.Suite) > 0 {
-		if suite, err = decodeSuite(req.Suite); err != nil {
+		if suite, err = cfsm.DecodeSuite(req.Suite); err != nil {
 			return nil, err
 		}
 	} else {

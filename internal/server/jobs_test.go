@@ -166,7 +166,6 @@ func TestJobsDiagnoseMatchesSync(t *testing.T) {
 	for _, family := range []string{
 		"cfsmdiag_jobs_queue_depth", "cfsmdiag_jobs_wait_seconds_bucket",
 		"cfsmdiag_jobs_run_seconds_bucket", "cfsmdiag_jobs_cache_hits_total",
-		"cfsmdiag_deprecated_api_total",
 	} {
 		if !strings.Contains(string(body), family) {
 			t.Errorf("/metrics missing %s", family)
@@ -545,34 +544,6 @@ func TestJobsListPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("GET /v1/jobs%s: status %d, want 400", q, resp.StatusCode)
 		}
-	}
-}
-
-// TestDeprecatedAliasCounter: every /api/* hit bumps the migration counter
-// with the alias route label (legacy aliases re-enabled for this test; the
-// sunset default is covered by TestLegacySunset).
-func TestDeprecatedAliasCounter(t *testing.T) {
-	reg := obs.New()
-	srv := httptest.NewServer(New(Config{Registry: reg, EnableLegacyAPI: true}))
-	defer srv.Close()
-
-	for i := 0; i < 3; i++ {
-		resp, _ := post(t, srv, "/api/validate", validateRequest{Spec: systemDoc(t, paper.MustFigure1())})
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatal("alias lost its Deprecation header")
-		}
-	}
-	_, body := get(t, srv, "/metrics")
-	text := string(body)
-	if !strings.Contains(text, `cfsmdiag_deprecated_api_total{route="/api/validate"} 3`) {
-		t.Errorf("deprecated counter not at 3 for /api/validate:\n%s",
-			grepLines(text, "cfsmdiag_deprecated_api_total"))
-	}
-	// Untouched aliases are pre-registered at zero so dashboards see the
-	// full family before the first hit.
-	if !strings.Contains(text, `cfsmdiag_deprecated_api_total{route="/api/diagnose"} 0`) {
-		t.Errorf("deprecated counter family missing pre-registered zero series:\n%s",
-			grepLines(text, "cfsmdiag_deprecated_api_total"))
 	}
 }
 

@@ -61,17 +61,6 @@
 // merged result is byte-identical to a single-process sweep — zero verdicts
 // lost, zero duplicated (package cluster documents the protocol).
 //
-// # Sunset of the unversioned /api/* aliases
-//
-// The unversioned /api/* paths from the first release reached their
-// announced sunset (one release after the v1 surface shipped) and answer
-// 410 Gone with a Link to the successor /v1 route by default. Operators
-// with straggling clients can re-enable them for one more release with
-// Config.EnableLegacyAPI (`cfsmdiag serve -legacy-api`), which restores the
-// old behavior: the alias serves the request with a "Deprecation: true"
-// header and the successor Link. Either way each hit bumps the
-// cfsmdiag_deprecated_api_total counter so migrations stay measurable.
-//
 // # Errors
 //
 // Every error response carries a single envelope:
@@ -117,7 +106,6 @@ import (
 	"cfsmdiag/internal/jobs"
 	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/ports"
-	"cfsmdiag/internal/replay"
 	"cfsmdiag/internal/resilient"
 	httpapi "cfsmdiag/internal/server/api"
 	"cfsmdiag/internal/testgen"
@@ -183,13 +171,6 @@ type Config struct {
 	// Tracer receives job.* events (submit, run spans, cache hits, drain);
 	// nil disables job tracing.
 	Tracer *trace.Tracer
-	// EnableLegacyAPI re-enables the deprecated unversioned /api/* aliases
-	// of the first release (off by default). When disabled — the sunset
-	// default — the aliases answer 410 Gone with a successor-version Link
-	// so stragglers learn the /v1 route; either way every hit bumps the
-	// cfsmdiag_deprecated_api_total counter, keeping the migration
-	// measurable right up to removal.
-	EnableLegacyAPI bool
 	// EnableCluster mounts the distributed-sweep coordinator under
 	// /v1/cluster/sweeps (services built with NewService only; New ignores
 	// the flag, as with EnableJobs).
@@ -334,20 +315,7 @@ func NewService(cfg Config) (*Service, error) {
 		"/v1/diagnose": s.handleDiagnose,
 	}
 	for _, path := range v1Paths {
-		h := handlers[path]
-		mux.Handle(path, s.wrap(path, s.post(h)))
-		// Unversioned alias of the first release, past its announced sunset
-		// (one release after v1 shipped). By default it answers 410 Gone with
-		// a successor Link; Config.EnableLegacyAPI restores the old
-		// deprecated-but-working behavior for one more release. Pre-register
-		// the migration counter so /metrics lists the family at zero.
-		alias := "/api" + path[len("/v1"):]
-		cfg.Registry.Counter(metricDeprecated, helpDeprecated, obs.L("route", alias))
-		if cfg.EnableLegacyAPI {
-			mux.Handle(alias, s.wrap(alias, s.deprecated(path, s.post(h))))
-		} else {
-			mux.Handle(alias, s.wrap(alias, s.gone(path)))
-		}
+		mux.Handle(path, s.wrap(path, s.post(handlers[path])))
 	}
 	// The model registry surface: uploads sniff JSON vs binary themselves,
 	// so they bypass the JSON-only s.post wrapper.
@@ -444,13 +412,6 @@ func RouteList(cfg Config) []string {
 		routes = append(routes, "POST "+p)
 	}
 	routes = append(routes, "POST /v1/models", "GET /v1/models/{hash}")
-	legacyNote := " (sunset: 410)"
-	if cfg.EnableLegacyAPI {
-		legacyNote = " (deprecated)"
-	}
-	for _, p := range v1Paths {
-		routes = append(routes, "POST /api"+p[len("/v1"):]+legacyNote)
-	}
 	if cfg.EnableJobs {
 		routes = append(routes,
 			"POST /v1/jobs", "GET /v1/jobs", "GET /v1/jobs/stats",
@@ -519,14 +480,22 @@ type invalidPortMapError struct{ err error }
 func (e invalidPortMapError) Error() string { return e.err.Error() }
 func (e invalidPortMapError) Unwrap() error { return e.err }
 
+// errTraceMultiPort refuses "?trace=1" under a multi-port observation map:
+// the trace records a replayable global run, and the global order is exactly
+// what distributed observers do not have, so the combination is refused
+// rather than recording a trace that overstates what was observed.
+var errTraceMultiPort = errors.New("?trace=1 is not supported with a multi-port observation map; drop the ports field or the trace flag")
+
 // writePipelineErr maps a diagnosis-pipeline error onto the envelope:
 // timeouts and client disconnects get their own codes, malformed suites and
 // port maps their typed 422s, everything else is a semantic (unprocessable)
 // failure.
 func writePipelineErr(w http.ResponseWriter, err error) {
-	var dup duplicateTestCaseError
+	var dup *cfsm.DuplicateTestCaseError
 	var pmErr invalidPortMapError
 	switch {
+	case errors.Is(err, errTraceMultiPort):
+		writeErr(w, http.StatusNotImplemented, codeNotImplemented, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, http.StatusGatewayTimeout, codeTimeout, err)
 	case errors.Is(err, context.Canceled):
@@ -560,28 +529,6 @@ func (s *api) post(h http.HandlerFunc) http.HandlerFunc {
 			}
 		}
 		h(w, r)
-	}
-}
-
-// deprecated marks an unversioned alias: Deprecation and successor-Link
-// headers on every response, plus a log line for migration tracking.
-func (s *api) deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		httpapi.Deprecate(w, successor)
-		s.cfg.Registry.Counter(metricDeprecated, helpDeprecated, obs.L("route", r.URL.Path)).Inc()
-		s.cfg.Logger.Warn("deprecated route", "route", r.URL.Path, "successor", successor)
-		h(w, r)
-	}
-}
-
-// gone answers for an alias past its sunset: 410, the successor Link, and
-// the same migration counter as the deprecated path, so operators still see
-// which clients have not moved.
-func (s *api) gone(successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.cfg.Registry.Counter(metricDeprecated, helpDeprecated, obs.L("route", r.URL.Path)).Inc()
-		s.cfg.Logger.Warn("sunset route", "route", r.URL.Path, "successor", successor)
-		httpapi.Gone(w, r.URL.Path, successor)
 	}
 }
 
@@ -676,45 +623,9 @@ func (s *api) handleValidate(w http.ResponseWriter, r *http.Request) {
 
 // --- shared suite / observation wire formats ---
 
-type testCaseJSON struct {
-	Name   string   `json:"name"`
-	Inputs []string `json:"inputs"`
-}
-
-// duplicateTestCaseError reports a suite naming two test cases identically.
-// The analysis layer keys its per-case result maps by test-case name, so a
-// collision would silently attribute one case's observations to the other;
-// suites are rejected at decode time with the typed duplicate_test_case code
-// instead.
-type duplicateTestCaseError struct{ name string }
-
-func (e duplicateTestCaseError) Error() string {
-	return fmt.Sprintf("suite names two test cases %q; test-case names must be unique", e.name)
-}
-
-func decodeSuite(cases []testCaseJSON) ([]cfsm.TestCase, error) {
-	var out []cfsm.TestCase
-	seen := make(map[string]bool, len(cases))
-	for i, tj := range cases {
-		tc := cfsm.TestCase{Name: tj.Name}
-		if tc.Name == "" {
-			tc.Name = fmt.Sprintf("tc%d", i+1)
-		}
-		if seen[tc.Name] {
-			return nil, duplicateTestCaseError{name: tc.Name}
-		}
-		seen[tc.Name] = true
-		for _, tok := range tj.Inputs {
-			in, err := cfsm.ParseInputToken(tok)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", tc.Name, err)
-			}
-			tc.Inputs = append(tc.Inputs, in)
-		}
-		out = append(out, tc)
-	}
-	return out, nil
-}
+// testCaseJSON is the suite wire form shared with the CLI, the job queue and
+// the cluster protocol.
+type testCaseJSON = cfsm.TestCaseJSON
 
 func decodeObservations(seqs [][]string) ([][]cfsm.Observation, error) {
 	out := make([][]cfsm.Observation, len(seqs))
@@ -803,13 +714,7 @@ func (s *api) handleSuite(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("unknown suite kind %q", req.Kind))
 		return
 	}
-	for _, tc := range suite {
-		tj := testCaseJSON{Name: tc.Name}
-		for _, in := range tc.Inputs {
-			tj.Inputs = append(tj.Inputs, in.String())
-		}
-		resp.Suite = append(resp.Suite, tj)
-	}
+	resp.Suite = cfsm.EncodeSuite(suite)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -846,7 +751,7 @@ type diagnoseResponse struct {
 	// Inconclusive lists the candidate transitions whose diagnostic tests
 	// never produced a trustworthy observation (resilient retry/vote budget
 	// exhausted); non-empty iff Verdict is the inconclusive one.
-	Inconclusive    []string             `json:"inconclusive,omitempty"`
+	Inconclusive []string `json:"inconclusive,omitempty"`
 	// LocallyAmbiguous lists candidate transitions whose surviving
 	// hypotheses are separable under global observation but not in any
 	// per-port projection; only a multi-port (distributed observation)
@@ -883,19 +788,29 @@ type portsReportJSON struct {
 	InterleavingsExplored uint64   `json:"interleavingsExplored"`
 }
 
+// portsReport renders a ports.Report as the wire summary.
+func portsReport(rep *ports.Report) *portsReportJSON {
+	return &portsReportJSON{
+		Observers:             rep.Ports,
+		Cases:                 rep.Cases,
+		AmbiguousCases:        rep.AmbiguousCases,
+		InterleavingsExplored: rep.InterleavingsExplored,
+	}
+}
+
 // portMapFor resolves a request's port assignments against the
-// specification; a validation failure carries the typed invalid_port_map
-// code through writePipelineErr. The second return is false when the request
-// carried no assignments at all.
-func portMapFor(assignments map[string]string, spec *cfsm.System) (ports.Map, bool, error) {
+// specification. A request without assignments observes through the single
+// global observer (ports.Default); a validation failure carries the typed
+// invalid_port_map code through writePipelineErr.
+func portMapFor(assignments map[string]string, spec *cfsm.System) (ports.Map, error) {
 	if len(assignments) == 0 {
-		return ports.Map{}, false, nil
+		return ports.Default(spec), nil
 	}
 	pm, err := ports.FromAssignments(assignments, spec)
 	if err != nil {
-		return ports.Map{}, true, invalidPortMapError{err: err}
+		return ports.Map{}, invalidPortMapError{err: err}
 	}
-	return pm, true, nil
+	return pm, nil
 }
 
 // prepareDiagnose decodes a diagnosis request's systems and resolves its
@@ -914,7 +829,7 @@ func (s *api) prepareDiagnose(req diagnoseRequest) (spec, iut *cfsm.System, suit
 		return nil, nil, nil, fmt.Errorf("iut: %w", err)
 	}
 	if len(req.Suite) > 0 {
-		suite, err = decodeSuite(req.Suite)
+		suite, err = cfsm.DecodeSuite(req.Suite)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -946,15 +861,6 @@ func (s *api) oracleFor(iut *cfsm.System) (core.Oracle, *core.SystemOracle) {
 		})
 	}
 	return oracle, base
-}
-
-// diagnoseOpts are the core options shared by every diagnosis entry point.
-func (s *api) diagnoseOpts(req diagnoseRequest) []core.Option {
-	opts := []core.Option{core.WithRegistry(s.cfg.Registry)}
-	if req.MaxAdditionalTests > 0 {
-		opts = append(opts, core.WithMaxAdditionalTests(req.MaxAdditionalTests))
-	}
-	return opts
 }
 
 // encodeLocalization renders a localization as the wire response.
@@ -991,48 +897,48 @@ func encodeLocalization(spec *cfsm.System, suite []cfsm.TestCase, base *core.Sys
 	return resp
 }
 
-// runDiagnose is the untraced diagnosis pipeline end to end: decode, run,
-// encode. The jobs executor calls it directly; errors are pipeline errors.
-func (s *api) runDiagnose(ctx context.Context, req diagnoseRequest) (*diagnoseResponse, error) {
+// runDiagnose is the diagnosis pipeline end to end: decode, run, encode.
+// The HTTP handler and the "diagnose" job executor both call it; errors are
+// pipeline errors. A non-nil tracer records the run, replay header included,
+// and the response carries its events.
+func (s *api) runDiagnose(ctx context.Context, req diagnoseRequest, tr *trace.Tracer) (*diagnoseResponse, error) {
 	spec, iut, suite, err := s.prepareDiagnose(req)
 	if err != nil {
 		return nil, err
 	}
-	pm, hasPorts, err := portMapFor(req.Ports, spec)
+	pm, err := portMapFor(req.Ports, spec)
 	if err != nil {
 		return nil, err
 	}
-	oracle, base := s.oracleFor(iut)
-	if hasPorts {
-		loc, rep, err := ports.DiagnoseContext(ctx, spec, suite, oracle, pm,
-			ports.WithCoreOptions(s.diagnoseOpts(req)...),
-			ports.WithRegistry(s.cfg.Registry))
-		if err != nil {
-			return nil, err
-		}
-		resp := encodeLocalization(spec, suite, base, loc)
-		resp.Ports = &portsReportJSON{
-			Observers:             rep.Ports,
-			Cases:                 rep.Cases,
-			AmbiguousCases:        rep.AmbiguousCases,
-			InterleavingsExplored: rep.InterleavingsExplored,
-		}
-		return &resp, nil
+	if tr != nil && !pm.Single() {
+		return nil, errTraceMultiPort
 	}
-	loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, s.diagnoseOpts(req)...)
+	oracle, base := s.oracleFor(iut)
+	opts := []ports.Option{ports.WithRegistry(s.cfg.Registry), ports.WithTrace(tr)}
+	if req.MaxAdditionalTests > 0 {
+		opts = append(opts, ports.WithCoreOptions(core.WithMaxAdditionalTests(req.MaxAdditionalTests)))
+	}
+	loc, rep, err := ports.DiagnoseContext(ctx, spec, suite, oracle, pm, opts...)
 	if err != nil {
 		return nil, err
 	}
 	resp := encodeLocalization(spec, suite, base, loc)
+	if len(req.Ports) > 0 {
+		resp.Ports = portsReport(rep)
+	}
+	resp.Trace = tr.Events()
 	return &resp, nil
 }
 
 func (s *api) handleDiagnose(w http.ResponseWriter, r *http.Request) {
-	wantTrace := traceRequested(r)
-	if wantTrace && !s.cfg.EnableTracing {
-		writeErr(w, http.StatusNotImplemented, codeNotImplemented,
-			fmt.Errorf("structured tracing is disabled on this server; restart it with tracing enabled to use ?trace=1"))
-		return
+	var tr *trace.Tracer
+	if traceRequested(r) {
+		if !s.cfg.EnableTracing {
+			writeErr(w, http.StatusNotImplemented, codeNotImplemented,
+				fmt.Errorf("structured tracing is disabled on this server; restart it with tracing enabled to use ?trace=1"))
+			return
+		}
+		tr = trace.New()
 	}
 	var req diagnoseRequest
 	if !s.decode(w, r, &req) {
@@ -1044,73 +950,17 @@ func (s *api) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	// The request context carries the configured timeout and the client's
 	// disconnect; a slow adaptive localization stops at the next oracle
 	// boundary once it is done.
-	if !wantTrace {
-		resp, err := s.runDiagnose(r.Context(), req)
-		if err != nil {
-			writePipelineErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	spec, iut, suite, err := s.prepareDiagnose(req)
+	resp, err := s.runDiagnose(r.Context(), req, tr)
 	if err != nil {
 		writePipelineErr(w, err)
 		return
 	}
-	// The traced path records a replayable global run; under a genuinely
-	// distributed port map the global order is exactly what the observers do
-	// not have, so the combination is refused rather than recording a trace
-	// that overstates what was observed. A degenerate single-observer map is
-	// the classical pipeline and traces fine.
-	pm, hasPorts, err := portMapFor(req.Ports, spec)
-	if err != nil {
-		writePipelineErr(w, err)
-		return
+	if tr != nil {
+		s.cfg.Logger.Info("traced diagnosis",
+			"request_id", RequestID(r.Context()),
+			"verdict", resp.Verdict,
+			"trace_events", tr.Len())
 	}
-	if hasPorts && !pm.Single() {
-		writeErr(w, http.StatusNotImplemented, codeNotImplemented,
-			fmt.Errorf("?trace=1 is not supported with a multi-port observation map; drop the ports field or the trace flag"))
-		return
-	}
-	oracle, base := s.oracleFor(iut)
-	tr := trace.New()
-	opts := append(s.diagnoseOpts(req), core.WithTrace(tr))
-
-	// The traced path executes the suite by hand so the replay header
-	// (run.spec / run.case / run.observed) can be recorded before the
-	// analysis events: the response's trace is then directly replayable.
-	observed := make([][]cfsm.Observation, len(suite))
-	for i, tc := range suite {
-		if err := r.Context().Err(); err != nil {
-			writePipelineErr(w, err)
-			return
-		}
-		if observed[i], err = oracle.Execute(tc); err != nil {
-			writePipelineErr(w, fmt.Errorf("execute %s: %w", tc.Name, err))
-			return
-		}
-	}
-	if err = replay.Record(tr, spec, suite, observed); err != nil {
-		writeErr(w, http.StatusInternalServerError, codeInternal, err)
-		return
-	}
-	a, err := core.Analyze(spec, suite, observed, opts...)
-	if err != nil {
-		writePipelineErr(w, err)
-		return
-	}
-	loc, err := core.LocalizeContext(r.Context(), a, oracle, opts...)
-	if err != nil {
-		writePipelineErr(w, err)
-		return
-	}
-	s.cfg.Logger.Info("traced diagnosis",
-		"request_id", RequestID(r.Context()),
-		"verdict", loc.Verdict.String(),
-		"trace_events", tr.Len())
-	resp := encodeLocalization(spec, suite, base, loc)
-	resp.Trace = tr.Events()
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -1160,7 +1010,7 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, codeUnprocessable, fmt.Errorf("spec: %w", err))
 		return
 	}
-	suite, err := decodeSuite(req.Suite)
+	suite, err := cfsm.DecodeSuite(req.Suite)
 	if err != nil {
 		writePipelineErr(w, err)
 		return
@@ -1170,34 +1020,19 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, codeUnprocessable, err)
 		return
 	}
-	pm, hasPorts, err := portMapFor(req.Ports, spec)
+	pm, err := portMapFor(req.Ports, spec)
 	if err != nil {
 		writePipelineErr(w, err)
 		return
 	}
-	var (
-		a   *core.Analysis
-		rep *ports.Report
-	)
-	if hasPorts {
-		a, rep, err = ports.AnalyzeObserved(spec, suite, observed, pm,
-			ports.WithCoreOptions(core.WithRegistry(s.cfg.Registry)),
-			ports.WithRegistry(s.cfg.Registry))
-	} else {
-		a, err = core.Analyze(spec, suite, observed, core.WithRegistry(s.cfg.Registry))
-	}
+	a, rep, err := ports.AnalyzeObserved(spec, suite, observed, pm, ports.WithRegistry(s.cfg.Registry))
 	if err != nil {
 		writePipelineErr(w, err)
 		return
 	}
 	resp := analyzeResponse{Symptoms: len(a.Symptoms), Report: a.Report()}
-	if rep != nil {
-		resp.Ports = &portsReportJSON{
-			Observers:             rep.Ports,
-			Cases:                 rep.Cases,
-			AmbiguousCases:        rep.AmbiguousCases,
-			InterleavingsExplored: rep.InterleavingsExplored,
-		}
+	if len(req.Ports) > 0 {
+		resp.Ports = portsReport(rep)
 	}
 	for _, d := range a.Diagnoses {
 		resp.Diagnoses = append(resp.Diagnoses, d.Describe(spec))

@@ -53,69 +53,6 @@ func TestV1Validate(t *testing.T) {
 	}
 }
 
-// TestAliasParity: with the legacy API re-enabled, every /api/* alias
-// answers byte-identically to its /v1/* successor and advertises the
-// deprecation.
-func TestAliasParity(t *testing.T) {
-	srv := httptest.NewServer(New(Config{EnableLegacyAPI: true}))
-	defer srv.Close()
-
-	spec := systemDoc(t, paper.MustFigure1())
-	iut, err := paper.FaultyImplementation()
-	if err != nil {
-		t.Fatalf("FaultyImplementation: %v", err)
-	}
-	requests := map[string]any{
-		"/v1/validate": validateRequest{Spec: spec},
-		"/v1/suite":    suiteRequest{Spec: spec, Kind: "tour"},
-		"/v1/diagnose": diagnoseRequest{Spec: spec, IUT: systemDoc(t, iut), Suite: suiteDoc(paper.TestSuite())},
-	}
-	for v1Path, req := range requests {
-		aliasPath := "/api" + strings.TrimPrefix(v1Path, "/v1")
-		v1Resp, v1Body := post(t, srv, v1Path, req)
-		aResp, aBody := post(t, srv, aliasPath, req)
-		if v1Resp.StatusCode != aResp.StatusCode {
-			t.Errorf("%s: status %d vs alias %d", v1Path, v1Resp.StatusCode, aResp.StatusCode)
-		}
-		if !bytes.Equal(v1Body, aBody) {
-			t.Errorf("%s: body differs from alias:\n%s\nvs\n%s", v1Path, v1Body, aBody)
-		}
-		if aResp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: alias missing Deprecation header", aliasPath)
-		}
-		if link := aResp.Header.Get("Link"); !strings.Contains(link, v1Path) {
-			t.Errorf("%s: Link = %q, want successor %s", aliasPath, link, v1Path)
-		}
-	}
-}
-
-// TestLegacySunset: by default the unversioned aliases are past their
-// sunset — 410 Gone, a successor-version Link, the gone code in the
-// envelope — and the migration counter still counts the stragglers.
-func TestLegacySunset(t *testing.T) {
-	reg := obs.New()
-	srv := httptest.NewServer(New(Config{Registry: reg}))
-	defer srv.Close()
-
-	resp, body := post(t, srv, "/api/validate", validateRequest{Spec: systemDoc(t, paper.MustFigure1())})
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("status = %d, want 410: %s", resp.StatusCode, body)
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/validate") {
-		t.Errorf("Link = %q, want the successor /v1/validate", link)
-	}
-	env := decodeEnvelope(t, body)
-	if env.Error.Code != "gone" {
-		t.Errorf("code = %q, want gone", env.Error.Code)
-	}
-	if !strings.Contains(env.Error.Message, "/v1/validate") {
-		t.Errorf("message %q does not name the successor", env.Error.Message)
-	}
-	if reg.Counter("cfsmdiag_deprecated_api_total", "", obs.L("route", "/api/validate")).Value() != 1 {
-		t.Error("sunset hit did not bump the migration counter")
-	}
-}
-
 func TestErrorEnvelopeShape(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
