@@ -35,7 +35,7 @@ func NewPatcher(s *System) *Patcher {
 		ms := make([]*Machine, len(s.machines))
 		copy(ms, s.machines)
 		ms[i] = p.scratch[i]
-		p.sys[i] = &System{machines: ms}
+		p.sys[i] = &System{machines: ms, patched: true}
 	}
 	return p
 }
@@ -45,9 +45,8 @@ func (p *Patcher) restore(i int) {
 	if p.dirty[i] == "" {
 		return
 	}
-	src := p.src.machines[i]
-	k := src.byName[p.dirty[i]]
-	p.scratch[i].setTransition(k, src.trans[k])
+	k := p.src.machines[i].byName[p.dirty[i]]
+	p.scratch[i].sorted[k] = p.src.machines[i].sorted[k]
 	p.dirty[i] = ""
 }
 
@@ -55,7 +54,7 @@ func (p *Patcher) restore(i int) {
 func (p *Patcher) patch(r Ref, t Transition) *System {
 	i := r.Machine
 	p.restore(i)
-	p.scratch[i].setTransition(p.src.machines[i].byName[r.Name], t)
+	p.scratch[i].sorted[p.src.machines[i].byName[r.Name]] = t
 	p.dirty[i] = r.Name
 	return p.sys[i]
 }

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"cfsmdiag/internal/fsm"
 )
@@ -71,17 +73,20 @@ func (t Transition) String() string {
 // Machine is one deterministic partial FSM of a system. Machines are
 // immutable after construction (the rewiring operations return modified
 // copies), so they are safe for concurrent use by any number of goroutines.
+//
+// Each transition is stored once, in sorted; byKey and byName index into it.
+// A rewire preserves a transition's name and (From, Input) key, so clones
+// share the states slice and both index maps and copy only sorted.
 type Machine struct {
 	name    string
 	initial State
-	states  []State
-	trans   map[fsm.Key]Transition
-	byName  map[string]fsm.Key
-	// sorted caches the transitions ordered by (From, Input); it is built at
-	// construction and kept in sync by setTransition, so the hot loops over
-	// Transitions (validation, Refs, the alphabet accessors, fault
-	// enumeration) never re-sort.
+	states  []State // sorted
+	// sorted holds the transitions ordered by (From, Input), so the hot
+	// loops over Transitions (validation, Refs, the alphabet accessors,
+	// fault enumeration) never re-sort.
 	sorted []Transition
+	byKey  map[fsm.Key]int32 // index into sorted
+	byName map[string]int32  // index into sorted
 }
 
 // NewMachine builds one machine of a system. Determinism, unique transition
@@ -95,35 +100,32 @@ func NewMachine(name string, initial State, states []State, transitions []Transi
 	if len(states) == 0 {
 		return nil, fmt.Errorf("cfsm %s: at least one state is required", name)
 	}
-	stateSet := make(map[State]bool, len(states))
-	for _, s := range states {
-		if s == "" {
-			return nil, fmt.Errorf("cfsm %s: empty state name", name)
-		}
-		if stateSet[s] {
-			return nil, fmt.Errorf("cfsm %s: duplicate state %q", name, s)
-		}
-		stateSet[s] = true
-	}
-	if !stateSet[initial] {
-		return nil, fmt.Errorf("cfsm %s: initial state %q is not declared", name, initial)
-	}
 	m := &Machine{
 		name:    name,
 		initial: initial,
 		states:  append([]State(nil), states...),
-		trans:   make(map[fsm.Key]Transition, len(transitions)),
-		byName:  make(map[string]fsm.Key, len(transitions)),
+		byKey:   make(map[fsm.Key]int32, len(transitions)),
+		byName:  make(map[string]int32, len(transitions)),
 	}
 	sort.Slice(m.states, func(i, j int) bool { return m.states[i] < m.states[j] })
-	for _, t := range transitions {
+	for i := range m.states {
+		if m.states[i] == "" || (i > 0 && m.states[i] == m.states[i-1]) {
+			return nil, badStates(name, states)
+		}
+	}
+	if !m.HasState(initial) {
+		return nil, fmt.Errorf("cfsm %s: initial state %q is not declared", name, initial)
+	}
+	// Validate in input order, indexing by input position; the indices are
+	// remapped to sorted positions below.
+	for i, t := range transitions {
 		if t.Name == "" {
 			return nil, fmt.Errorf("cfsm %s: transition %v has no name", name, t)
 		}
 		if _, dup := m.byName[t.Name]; dup {
 			return nil, fmt.Errorf("cfsm %s: duplicate transition name %q", name, t.Name)
 		}
-		if !stateSet[t.From] || !stateSet[t.To] {
+		if !m.HasState(t.From) || !m.HasState(t.To) {
 			return nil, fmt.Errorf("cfsm %s: transition %s references an undeclared state", name, t.Name)
 		}
 		if t.Input == "" || t.Output == "" {
@@ -133,44 +135,41 @@ func NewMachine(name string, initial State, states []State, transitions []Transi
 			return nil, fmt.Errorf("cfsm %s: transition %s uses a reserved symbol", name, t.Name)
 		}
 		k := fsm.Key{From: t.From, Input: t.Input}
-		if prev, clash := m.trans[k]; clash {
+		if prev, clash := m.byKey[k]; clash {
 			return nil, fmt.Errorf("cfsm %s: nondeterminism: %s and %s share state %q and input %q",
-				name, prev.Name, t.Name, t.From, t.Input)
+				name, transitions[prev].Name, t.Name, t.From, t.Input)
 		}
-		m.trans[k] = t
-		m.byName[t.Name] = k
+		m.byKey[k] = int32(i)
+		m.byName[t.Name] = int32(i)
 	}
-	m.rebuildSorted()
-	return m, nil
-}
-
-// rebuildSorted recomputes the cached (From, Input)-ordered transition slice
-// from the transition map.
-func (m *Machine) rebuildSorted() {
-	m.sorted = make([]Transition, 0, len(m.trans))
-	for _, t := range m.trans {
-		m.sorted = append(m.sorted, t)
-	}
+	m.sorted = append([]Transition(nil), transitions...)
 	sort.Slice(m.sorted, func(i, j int) bool {
 		if m.sorted[i].From != m.sorted[j].From {
 			return m.sorted[i].From < m.sorted[j].From
 		}
 		return m.sorted[i].Input < m.sorted[j].Input
 	})
+	for i, t := range m.sorted {
+		m.byKey[fsm.Key{From: t.From, Input: t.Input}] = int32(i)
+		m.byName[t.Name] = int32(i)
+	}
+	return m, nil
 }
 
-// setTransition replaces the transition stored under k, keeping the sorted
-// cache consistent. The replacement must preserve the transition's name and
-// (From, Input) key — exactly what the rewiring operations do — so the cache
-// order is unaffected and only the matching entry needs updating.
-func (m *Machine) setTransition(k fsm.Key, t Transition) {
-	m.trans[k] = t
-	for i := range m.sorted {
-		if m.sorted[i].Name == t.Name {
-			m.sorted[i] = t
-			return
+// badStates reports the first invalid entry of a state list that NewMachine
+// found to contain an empty or duplicate name, in input order.
+func badStates(name string, states []State) error {
+	seen := make(map[State]bool, len(states))
+	for _, s := range states {
+		if s == "" {
+			return fmt.Errorf("cfsm %s: empty state name", name)
 		}
+		if seen[s] {
+			return fmt.Errorf("cfsm %s: duplicate state %q", name, s)
+		}
+		seen[s] = true
 	}
+	return nil
 }
 
 // Name returns the machine's display name.
@@ -184,59 +183,48 @@ func (m *Machine) States() []State { return append([]State(nil), m.states...) }
 
 // HasState reports whether s is declared in the machine.
 func (m *Machine) HasState(s State) bool {
-	for _, st := range m.states {
-		if st == s {
-			return true
-		}
-	}
-	return false
+	i := sort.Search(len(m.states), func(i int) bool { return m.states[i] >= s })
+	return i < len(m.states) && m.states[i] == s
 }
 
 // Lookup returns the transition defined for (state, input), if any.
 func (m *Machine) Lookup(from State, input Symbol) (Transition, bool) {
-	t, ok := m.trans[fsm.Key{From: from, Input: input}]
-	return t, ok
+	i, ok := m.byKey[fsm.Key{From: from, Input: input}]
+	if !ok {
+		return Transition{}, false
+	}
+	return m.sorted[i], true
 }
 
 // ByName returns the transition with the given name, if any.
 func (m *Machine) ByName(name string) (Transition, bool) {
-	k, ok := m.byName[name]
+	i, ok := m.byName[name]
 	if !ok {
 		return Transition{}, false
 	}
-	return m.trans[k], true
+	return m.sorted[i], true
 }
 
 // Transitions returns all transitions sorted by (From, Input). The slice is a
-// copy of a cache precomputed at construction time, so calling it in hot
-// loops costs one copy, never a re-sort.
+// copy of the stored order, so calling it in hot loops costs one copy, never
+// a re-sort.
 func (m *Machine) Transitions() []Transition {
 	return append([]Transition(nil), m.sorted...)
 }
 
-// transitions returns the cached sorted slice without copying, for
-// package-internal read-only iteration on hot paths.
+// transitions returns the sorted slice without copying, for package-internal
+// read-only iteration on hot paths.
 func (m *Machine) transitions() []Transition { return m.sorted }
 
 // NumTransitions returns the number of defined transitions.
-func (m *Machine) NumTransitions() int { return len(m.trans) }
+func (m *Machine) NumTransitions() int { return len(m.sorted) }
 
+// clone copies the machine for a rewire: only the transition slice is
+// copied; the states and both index maps are immutable and shared.
 func (m *Machine) clone() *Machine {
-	c := &Machine{
-		name:    m.name,
-		initial: m.initial,
-		states:  append([]State(nil), m.states...),
-		trans:   make(map[fsm.Key]Transition, len(m.trans)),
-		byName:  make(map[string]fsm.Key, len(m.byName)),
-		sorted:  append([]Transition(nil), m.sorted...),
-	}
-	for k, t := range m.trans {
-		c.trans[k] = t
-	}
-	for n, k := range m.byName {
-		c.byName[n] = k
-	}
-	return c
+	c := *m
+	c.sorted = append([]Transition(nil), m.sorted...)
+	return &c
 }
 
 // ResetSymbol is the distinguished input that resets every machine of a
@@ -253,6 +241,48 @@ const ResetSymbol Symbol = "R"
 // mutable state (configurations, runners, oracles) must be per-goroutine.
 type System struct {
 	machines []*Machine
+	// memo is the slot Memo fills on first use; memoMu serializes the fill.
+	memoMu sync.Mutex
+	memo   atomic.Pointer[memoValue]
+	// patched marks a Patcher's aliased systems, which are rewired in place
+	// and therefore never memoise.
+	patched bool
+}
+
+type memoValue struct{ v any }
+
+// Memo returns the value build derives from the system, computing it on
+// first use and keeping it for the system's lifetime: a System is
+// immutable, so the value never goes stale, and it is freed with the
+// system. The slot has a single owner — internal/compiled keeps the
+// system's compiled program in it — so every caller must pass an
+// equivalent build. Concurrent first calls build once; the others wait for
+// that value. Systems aliased by a Patcher change in place and build afresh
+// on every call.
+func (s *System) Memo(build func(*System) any) any {
+	if m := s.memo.Load(); m != nil {
+		return m.v
+	}
+	if s.patched {
+		return build(s)
+	}
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if m := s.memo.Load(); m != nil {
+		return m.v
+	}
+	v := build(s)
+	s.memo.Store(&memoValue{v: v})
+	return v
+}
+
+// Memoised returns the value Memo keeps for the system, or nil when Memo
+// has not run yet.
+func (s *System) Memoised() any {
+	if m := s.memo.Load(); m != nil {
+		return m.v
+	}
+	return nil
 }
 
 // NewSystem assembles and validates a system. Beyond per-machine validity it
@@ -424,14 +454,13 @@ func (s *System) Rewire(r Ref, newOutput Symbol, newTo State) (*System, error) {
 	ms := make([]*Machine, len(s.machines))
 	copy(ms, s.machines)
 	mc := s.machines[r.Machine].clone()
-	k := mc.byName[r.Name]
 	if newOutput != "" {
 		t.Output = newOutput
 	}
 	if newTo != "" {
 		t.To = newTo
 	}
-	mc.setTransition(k, t)
+	mc.sorted[mc.byName[r.Name]] = t
 	ms[r.Machine] = mc
 	out := &System{machines: ms}
 	if err := out.validate(); err != nil {
@@ -462,9 +491,8 @@ func (s *System) RewireAddress(r Ref, newDest int) (*System, error) {
 	ms := make([]*Machine, len(s.machines))
 	copy(ms, s.machines)
 	mc := s.machines[r.Machine].clone()
-	k := mc.byName[r.Name]
 	t.Dest = newDest
-	mc.setTransition(k, t)
+	mc.sorted[mc.byName[r.Name]] = t
 	ms[r.Machine] = mc
 	out := &System{machines: ms}
 	if err := out.validate(); err != nil {

@@ -76,7 +76,7 @@ func TestAnalysisMatchesInterpreted(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				iA, iErr := core.Analyze(fx.sys, suite, observed)
+				iA, iErr := core.Analyze(fx.sys, suite, observed, core.WithEngine(core.NewSystemEngine(fx.sys)))
 				cA, cErr := core.Analyze(fx.sys, suite, observed, core.WithEngine(eng))
 				if (iErr == nil) != (cErr == nil) ||
 					(iErr != nil && iErr.Error() != cErr.Error()) {

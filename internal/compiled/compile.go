@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/testgen"
@@ -90,6 +91,10 @@ type Program struct {
 	strides  []uint64
 	configs  uint64 // total packed configurations; 0 when not packable
 	initialP uint64
+
+	// searchPool recycles Step-6 search scratch (*search) across the
+	// engines sharing this program; see getSearch.
+	searchPool sync.Pool
 }
 
 // Compile lowers a validated system. The resulting Program supports running

@@ -275,7 +275,7 @@ func TestDiagnosisMatchesInterpreted(t *testing.T) {
 					t.Fatalf("apply %s: %v", f.Describe(fx.sys), err)
 				}
 				iOracle := &core.SystemOracle{Sys: mut}
-				iLoc, iErr := core.Diagnose(fx.sys, fx.suite, iOracle)
+				iLoc, iErr := core.Diagnose(fx.sys, fx.suite, iOracle, core.WithEngine(core.NewSystemEngine(fx.sys)))
 
 				ov, ok := p.OverlayFor(f)
 				if !ok {
@@ -346,5 +346,85 @@ func TestEquivalencePredicatesMatchInterpreted(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDistinguishProjectedMatchesInterpreted pins the compiled
+// projection-aware search (Engine.DistinguishProjected) — and the global
+// Distinguish beside it — to the interpreted testgen searches: for variant
+// pairs (specification vs mutant, mutant vs mutant) at positions reached by
+// random prefixes, under random avoid sets, both engines return the same
+// sequence, the same found flag and the same globalOnly flag.
+func TestDistinguishProjectedMatchesInterpreted(t *testing.T) {
+	var visible, silentOnly int
+	for _, fx := range fixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			eng, err := compiled.NewEngine(fx.sys)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			ref := core.NewSystemEngine(fx.sys)
+			refPD := ref.(core.ProjectionDistinguisher)
+			inputs := testgen.AllInputs(fx.sys)
+			refs := fx.sys.Refs()
+			faults := allFaults(fx.sys)
+			rng := rand.New(rand.NewSource(3))
+			pos := func(e core.Engine, f *fault.Fault, prefix []cfsm.Input) (core.VariantPos, bool) {
+				v, err := e.NewVariant(f)
+				if err != nil {
+					t.Fatalf("variant: %v", err)
+				}
+				_, p, err := v.RunInputs(prefix)
+				return core.VariantPos{V: v, Pos: p}, err == nil
+			}
+			for k := 0; k < 150; k++ {
+				var fa *fault.Fault
+				if k%3 != 0 {
+					fa = &faults[rng.Intn(len(faults))]
+				}
+				fb := &faults[rng.Intn(len(faults))]
+				prefix := make([]cfsm.Input, rng.Intn(4))
+				for i := range prefix {
+					prefix[i] = inputs[rng.Intn(len(inputs))]
+				}
+				avoid := testgen.RefSet{}
+				for i := rng.Intn(3); i > 0; i-- {
+					avoid[refs[rng.Intn(len(refs))]] = true
+				}
+				ia, okA := pos(ref, fa, prefix)
+				ib, okB := pos(ref, fb, prefix)
+				ca, _ := pos(eng, fa, prefix)
+				cb, _ := pos(eng, fb, prefix)
+				if !okA || !okB {
+					continue
+				}
+				nameA := "spec"
+				if fa != nil {
+					nameA = fa.Describe(fx.sys)
+				}
+				label := fmt.Sprintf("pair %d (%s, %s) after %v avoiding %v", k, nameA, fb.Describe(fx.sys), prefix, avoid)
+				wantSeq, wantOK, wantGlobal := refPD.DistinguishProjected(ia, ib, avoid)
+				gotSeq, gotOK, gotGlobal := eng.DistinguishProjected(ca, cb, avoid)
+				if !reflect.DeepEqual(gotSeq, wantSeq) || gotOK != wantOK || gotGlobal != wantGlobal {
+					t.Fatalf("%s: DistinguishProjected = (%v, %v, %v), interpreted (%v, %v, %v)",
+						label, gotSeq, gotOK, gotGlobal, wantSeq, wantOK, wantGlobal)
+				}
+				if wantOK {
+					visible++
+				}
+				if wantGlobal {
+					silentOnly++
+				}
+				wantSeq, wantOK = ref.Distinguish(ia, ib, avoid)
+				gotSeq, gotOK = eng.Distinguish(ca, cb, avoid)
+				if !reflect.DeepEqual(gotSeq, wantSeq) || gotOK != wantOK {
+					t.Fatalf("%s: Distinguish = (%v, %v), interpreted (%v, %v)", label, gotSeq, gotOK, wantSeq, wantOK)
+				}
+			}
+		})
+	}
+	t.Logf("%d visibly distinguishable pairs, %d with silence-only differences", visible, silentOnly)
+	if visible == 0 || silentOnly == 0 {
+		t.Errorf("corpus exercised %d visible and %d silence-only outcomes; want both", visible, silentOnly)
 	}
 }

@@ -17,11 +17,14 @@ import (
 //
 // An Engine is NOT safe for concurrent use: every exported method may read
 // and write the scratch fields below (the runner's configuration buffer, the
-// suite/observation caches, the Ref memo, the search and analysis scratch),
-// none of which are synchronized. The concurrency contract is
+// suite/observation caches, the Ref memo, the analysis scratch), none of
+// which are synchronized. The concurrency contract is
 // one-goroutine-per-Engine: give each worker its own Engine over a shared,
 // immutable Program (EngineFor is cheap), the sharing the sweep's worker
-// pool implements and TestEngineSharingAcrossWorkers exercises under -race.
+// pool and the per-diagnosis default engines implement and
+// TestEngineSharingAcrossWorkers exercises under -race. Search scratch is
+// the exception: it is pooled on the Program (sync.Pool), so short-lived
+// engines do not each allocate a visited array.
 type Engine struct {
 	p *Program
 	r *Runner // scratch runner for explains and variant runs
@@ -31,12 +34,11 @@ type Engine struct {
 	// a suite compiled once per sweep and shared — it is immutable — across
 	// every worker engine; otherwise suiteFor compiles lazily, keyed by
 	// slice identity.
-	csuite    *Suite
-	obsKey    *[]cfsm.Observation
-	obsLen    int
-	observed  [][]cobs
-	inBuf     []cin
-	searchBuf search
+	csuite   *Suite
+	obsKey   *[]cfsm.Observation
+	obsLen   int
+	observed [][]cobs
+	inBuf    []cin
 
 	// Analysis scratch (see analysis.go), reused across AnalyzeInto calls.
 	anInter Bits
@@ -70,18 +72,56 @@ func (e *Engine) overlayFor(f fault.Fault) (Overlay, bool) {
 	return e.p.overlayAt(e.memoIdx, f)
 }
 
-var _ core.Engine = (*Engine)(nil)
+var (
+	_ core.Engine                  = (*Engine)(nil)
+	_ core.ProjectionDistinguisher = (*Engine)(nil)
+)
 
-// NewEngine compiles the system and returns an engine over it. It fails
-// when the global configuration space cannot be packed into the integer
-// keys the searches require (see Program.Packable); callers should fall
-// back to the interpreted engine in that case.
-func NewEngine(sys *cfsm.System) (*Engine, error) {
-	p, err := Compile(sys)
+// The compiled engine is core's default: every diagnosis without an
+// explicit core.WithEngine runs on an engine over the specification's
+// memoised Program.
+func init() { core.RegisterDefaultEngine(defaultEngine) }
+
+// defaultEngine is the registered core default: a fresh engine over the
+// memoised program of spec, or nil — selecting the interpreted reference —
+// when the configuration space does not pack.
+func defaultEngine(spec *cfsm.System) core.Engine {
+	e, err := EngineFor(ProgramFor(spec))
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	return EngineFor(p)
+	return e
+}
+
+// ProgramFor returns the compiled program of sys, compiling it on first use
+// and memoising it on the system (cfsm.System.Memo): the memo is race-free,
+// lives exactly as long as the system, and makes every later diagnosis of
+// the same *cfsm.System — a /v1/models registry entry, a sweep's
+// specification — skip compilation.
+func ProgramFor(sys *cfsm.System) *Program {
+	return sys.Memo(func(s *cfsm.System) any {
+		p, _ := Compile(s) // fails only for a nil system
+		return p
+	}).(*Program)
+}
+
+// Cached returns the program memoised on sys, or nil when none has been
+// compiled for it yet. It never compiles.
+func Cached(sys *cfsm.System) *Program {
+	p, _ := sys.Memoised().(*Program)
+	return p
+}
+
+// NewEngine returns an engine over the memoised program of sys
+// (ProgramFor). It fails when the global configuration space cannot be
+// packed into the integer keys the searches require (see
+// Program.Packable); callers should fall back to the interpreted engine in
+// that case.
+func NewEngine(sys *cfsm.System) (*Engine, error) {
+	if sys == nil {
+		return nil, fmt.Errorf("compiled: nil system")
+	}
+	return EngineFor(ProgramFor(sys))
 }
 
 // EngineFor returns an engine over an already-compiled program, sharing the
@@ -291,6 +331,22 @@ func (e *Engine) Distinguish(a, b core.VariantPos, avoid testgen.RefSet) ([]cfsm
 		return nil, false
 	}
 	return e.distinguishSearch(va.ov, pa, vb.ov, pb, avoid)
+}
+
+// DistinguishProjected finds a shortest avoid-respecting input sequence
+// whose observation difference between the two variant positions is visible
+// to some local observer (testgen.ProjectionDistinguish over the overlaid
+// programs), implementing core.ProjectionDistinguisher. globalOnly reports
+// that only silence-only differences were found.
+func (e *Engine) DistinguishProjected(a, b core.VariantPos, avoid testgen.RefSet) (seq []cfsm.Input, ok, globalOnly bool) {
+	va, okA := a.V.(variant)
+	vb, okB := b.V.(variant)
+	pa, okPA := a.Pos.(uint64)
+	pb, okPB := b.Pos.(uint64)
+	if !okA || !okB || !okPA || !okPB {
+		return nil, false, false
+	}
+	return e.pairSearch(va.ov, pa, vb.ov, pb, avoid, true)
 }
 
 // FaultEquivalentToSpec reports whether the mutant realized by f is

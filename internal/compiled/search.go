@@ -12,20 +12,23 @@ const searchLimit = 200_000
 
 // stampThreshold is the largest key space for which the searches use an
 // epoch-stamped dense visited array instead of a hash map. 1<<20 entries is
-// 4 MiB, allocated once per engine and reused across searches.
+// 4 MiB, allocated once per pooled scratch and reused across searches.
 const stampThreshold = uint64(1) << 20
 
-// search holds the engine's reusable search scratch: unpacked configuration
-// buffers, the node arena (the BFS frontier is the arena itself, walked by
-// an index), and the visited structure.
+// search is one search's reusable scratch: unpacked configuration buffers,
+// the node arena (the BFS frontier is the arena itself, walked by an index),
+// and the visited structure. Scratch lives in the Program's pool, so the
+// per-diagnosis engines over one memoised Program share a handful of
+// visited arrays instead of allocating one each.
 type search struct {
 	nodeA   []int32 // unpacked configuration of the node being expanded
 	nodeB   []int32
 	curA    []int32 // per-input working copies
 	curB    []int32
 	nodes   []snode
-	stamp   []uint32 // dense visited array (epoch-stamped), nil = use map
+	stamp   []uint32 // dense visited array (epoch-stamped)
 	epoch   uint32
+	useMap  bool // key space above stampThreshold: visited lives in seenMap
 	seenMap map[uint64]struct{}
 }
 
@@ -37,46 +40,49 @@ type snode struct {
 	in     int32
 }
 
-func (e *Engine) initSearch(pair bool) *search {
-	s := &e.searchBuf
-	n := len(e.p.machines)
-	if cap(s.nodeA) < n {
-		s.nodeA = make([]int32, n)
-		s.nodeB = make([]int32, n)
-		s.curA = make([]int32, n)
-		s.curB = make([]int32, n)
+// getSearch takes a scratch from the program's pool and resets it for one
+// search over single (pair=false) or paired configurations. Callers return
+// it with putSearch once the result no longer reads the arena.
+func (p *Program) getSearch(pair bool) *search {
+	s, _ := p.searchPool.Get().(*search)
+	if s == nil {
+		n := len(p.machines)
+		s = &search{
+			nodeA: make([]int32, n),
+			nodeB: make([]int32, n),
+			curA:  make([]int32, n),
+			curB:  make([]int32, n),
+		}
 	}
 	s.nodes = s.nodes[:0]
-	space := e.p.configs
+	space := p.configs
 	if pair {
 		space = space * space // configs ≤ 2^31, no overflow
 	}
-	if space <= stampThreshold {
+	s.useMap = space > stampThreshold
+	if !s.useMap {
 		if uint64(len(s.stamp)) < space {
 			s.stamp = make([]uint32, space)
+			s.epoch = 0
 		}
 		s.epoch++
 		if s.epoch == 0 {
-			for i := range s.stamp {
-				s.stamp[i] = 0
-			}
+			clear(s.stamp)
 			s.epoch = 1
 		}
-		s.seenMap = nil
+	} else if s.seenMap == nil {
+		s.seenMap = make(map[uint64]struct{}, 1024)
 	} else {
-		s.stamp = nil
-		if s.seenMap == nil {
-			s.seenMap = make(map[uint64]struct{}, 1024)
-		} else {
-			clear(s.seenMap)
-		}
+		clear(s.seenMap)
 	}
 	return s
 }
 
+func (p *Program) putSearch(s *search) { p.searchPool.Put(s) }
+
 // visit marks key as seen and reports whether it was already seen.
 func (s *search) visit(key uint64) bool {
-	if s.stamp != nil {
+	if !s.useMap {
 		if s.stamp[key] == s.epoch {
 			return true
 		}
@@ -141,7 +147,8 @@ func (e *Engine) path(s *search, i int32, last int32) []cfsm.Input {
 // exhausts the search, as the interpreted goal predicate would.
 func (e *Engine) transferSearch(machine int, goal int32, avoid testgen.RefSet) ([]cfsm.Input, bool) {
 	p := e.p
-	s := e.initSearch(false)
+	s := p.getSearch(false)
+	defer p.putSearch(s)
 	mask := e.avoidMask(avoid)
 	var steps int64
 	defer func() { cfsm.RecordSimulated(steps, 0) }()
@@ -189,14 +196,25 @@ func (e *Engine) transferSearch(machine int, goal int32, avoid testgen.RefSet) (
 // first input sequence whose observations differ (checked before the
 // visited test, exactly as interpreted).
 func (e *Engine) distinguishSearch(ovA Overlay, pa uint64, ovB Overlay, pb uint64, avoid testgen.RefSet) ([]cfsm.Input, bool) {
+	seq, ok, _ := e.pairSearch(ovA, pa, ovB, pb, avoid, false)
+	return seq, ok
+}
+
+// pairSearch is the breadth-first search over pairs of packed
+// configurations behind distinguishSearch and, with projected set, the
+// compiled testgen.ProjectionDistinguishOver: there a difference counts only
+// when at least one side is non-silent, and a silence-only difference sets
+// globalOnly and is explored through.
+func (e *Engine) pairSearch(ovA Overlay, pa uint64, ovB Overlay, pb uint64, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
 	p := e.p
-	s := e.initSearch(true)
+	s := p.getSearch(true)
+	defer p.putSearch(s)
 	mask := e.avoidMask(avoid)
 	var steps int64
 	defer func() { cfsm.RecordSimulated(steps, 0) }()
 
 	pairKey := func(a, b uint64) uint64 {
-		if s.stamp != nil {
+		if !s.useMap {
 			return a*p.configs + b
 		}
 		return a<<32 | b
@@ -221,7 +239,10 @@ func (e *Engine) distinguishSearch(ovA Overlay, pa uint64, ovB Overlay, pb uint6
 				continue
 			}
 			if oA != oB {
-				return e.path(s, int32(head), int32(ii)), true
+				if !projected || !p.silent(oA) || !p.silent(oB) {
+					return e.path(s, int32(head), int32(ii)), true, false
+				}
+				globalOnly = true
 			}
 			na, nb := p.pack(s.curA), p.pack(s.curB)
 			if s.visit(pairKey(na, nb)) {
@@ -231,5 +252,9 @@ func (e *Engine) distinguishSearch(ovA Overlay, pa uint64, ovB Overlay, pb uint6
 			s.nodes = append(s.nodes, snode{a: na, b: nb, parent: int32(head), in: int32(ii)})
 		}
 	}
-	return nil, false
+	return nil, false, globalOnly
 }
+
+// silent reports an observation no local observer records: ε or the Null
+// reset output (testgen's silentObs on compiled symbols).
+func (p *Program) silent(o cobs) bool { return o.sym == p.epsID || o.sym == p.nullID }

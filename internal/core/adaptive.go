@@ -561,46 +561,24 @@ func nextDiscriminatingTest(eng Engine, live []variant, prefix []cfsm.Input, avo
 		for j := i + 1; j < len(live); j++ {
 			a := VariantPos{V: live[i].h, Pos: runs[i].pos}
 			b := VariantPos{V: live[j].h, Pos: runs[j].pos}
+			var suffix []cfsm.Input
+			var found bool
 			if m == nil {
-				suffix, ok := eng.Distinguish(a, b, avoid)
-				if !ok {
-					continue
-				}
-				inputs := append([]cfsm.Input(nil), prefix...)
-				inputs = append(inputs, suffix...)
-				return cfsm.TestCase{Inputs: inputs}, true, false
-			}
-			// Matcher mode: prefer an engine that searches for a visibly
-			// distinguishing suffix directly (the interpreted engine, via
-			// testgen.ProjectionDistinguish). Engines without the extension
-			// fall back to the global search plus a matcher check on the
-			// full predictions — sound, but it may miss visible suffixes
-			// the global BFS stops short of.
-			if pd, okPD := eng.(ProjectionDistinguisher); okPD {
-				suffix, found, global := pd.DistinguishProjected(a, b, avoid)
-				if found {
-					inputs := append([]cfsm.Input(nil), prefix...)
-					inputs = append(inputs, suffix...)
-					return cfsm.TestCase{Inputs: inputs}, true, false
-				}
+				suffix, found = eng.Distinguish(a, b, avoid)
+			} else {
+				// Matcher mode searches for a visibly distinguishing suffix
+				// directly (testgen.ProjectionDistinguish semantics); see
+				// ProjectionDistinguisher.
+				var global bool
+				suffix, found, global = eng.(ProjectionDistinguisher).DistinguishProjected(a, b, avoid)
 				globalOnly = globalOnly || global
-				continue
 			}
-			suffix, found := eng.Distinguish(a, b, avoid)
 			if !found {
 				continue
 			}
 			inputs := append([]cfsm.Input(nil), prefix...)
 			inputs = append(inputs, suffix...)
-			pa, _, errA := live[i].h.RunInputs(inputs)
-			pb, _, errB := live[j].h.RunInputs(inputs)
-			if errA != nil || errB != nil {
-				continue
-			}
-			if !m.Equal(pa, pb) {
-				return cfsm.TestCase{Inputs: inputs}, true, false
-			}
-			globalOnly = true
+			return cfsm.TestCase{Inputs: inputs}, true, false
 		}
 	}
 	return cfsm.TestCase{}, false, globalOnly

@@ -112,7 +112,7 @@ type Analysis struct {
 	Escalated bool
 
 	// eng is the execution engine for the hot inner operations (explains,
-	// variants, Step-6 searches); nil resolves to the interpreted default via
+	// variants, Step-6 searches); nil resolves to the default engine via
 	// Analysis.engine. See WithEngine.
 	eng Engine
 	// matcher generalizes predicted-vs-observed comparison; nil means exact
@@ -160,7 +160,7 @@ func Analyze(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observa
 	// matcher installed: AnalyzeInto verifies hypotheses by exact equality
 	// on its own representation, which a matcher must override.
 	analyzed := false
-	if ae, ok := cfg.engine.(AnalyzerEngine); ok && !cfg.trace.Enabled() && cfg.matcher == nil {
+	if ae, ok := a.engine().(AnalyzerEngine); ok && !cfg.trace.Enabled() && cfg.matcher == nil {
 		done, err := ae.AnalyzeInto(a)
 		if err != nil {
 			return nil, err

@@ -15,10 +15,14 @@ import (
 // specification must produce byte-for-byte identical Analyses and
 // Localizations.
 //
-// The default engine interprets the string-keyed cfsm.System directly. The
-// compiled engine (internal/compiled) lowers the system into dense integer
-// tables once and patches single table cells per fault hypothesis; the
-// differential tests in internal/compiled pin the equivalence.
+// The default engine is the compiled one (internal/compiled), registered at
+// init through RegisterDefaultEngine: it lowers the system into dense
+// integer tables once per *cfsm.System (memoised on the system) and patches
+// single table cells per fault hypothesis. The interpreted engine
+// (NewSystemEngine) runs the string-keyed cfsm.System directly; it is the
+// reference the differential tests in internal/compiled pin the compiled
+// engine to, and the fallback when no compiled engine is registered or the
+// system's configuration space does not pack.
 //
 // An Engine is bound to one specification at construction; passing it to a
 // diagnosis of a different specification is a programming error.
@@ -43,8 +47,10 @@ type Engine interface {
 	Distinguish(a, b VariantPos, avoid testgen.RefSet) ([]cfsm.Input, bool)
 }
 
-// ProjectionDistinguisher is an optional Engine extension used by the
-// observation-matcher (distributed observation) mode of Step 6: it searches
+// ProjectionDistinguisher is the Engine extension the observation-matcher
+// (distributed observation) mode of Step 6 requires of its engine — both
+// built-in engines implement it, and Step 6 with a matcher panics on an
+// engine that does not. It searches
 // for a shortest avoid-respecting suffix whose observation difference is
 // *visible* — at least one of the two differing observations is non-silent,
 // so some local observer records the difference (silence carries no port
@@ -57,7 +63,7 @@ type ProjectionDistinguisher interface {
 
 // AnalyzerEngine is an optional Engine extension: an engine that can run
 // Steps 1–5B of the analysis on its own representation instead of the
-// interpreted default (Analysis.analyzeInterpreted). The compiled engine
+// interpreted path (Analysis.analyzeInterpreted). The compiled engine
 // implements it with integer/bitset structures over its transition indices.
 //
 // Analyze calls AnalyzeInto with the Analysis pre-initialized (Spec, Suite,
@@ -103,24 +109,53 @@ type VariantPos struct {
 	Pos Position
 }
 
-// engine resolves the analysis' execution engine, defaulting to the
-// interpreted one so hand-built Analyses (tests, replay) keep working.
+// engine resolves the analysis' execution engine, defaulting to
+// defaultEngineFor so hand-built Analyses (tests, replay) keep working.
 func (a *Analysis) engine() Engine {
 	if a.eng == nil {
-		a.eng = systemEngine{spec: a.Spec}
+		a.eng = defaultEngineFor(a.Spec)
 	}
 	return a.eng
 }
 
-// systemEngine is the interpreted default: every operation runs against the
-// string-keyed cfsm.System exactly as the pipeline historically did.
+// defaultEngine is the registered constructor of the default engine; nil
+// until internal/compiled's init registers it.
+var defaultEngine func(spec *cfsm.System) Engine
+
+// RegisterDefaultEngine installs the constructor of the engine used by every
+// diagnosis without a WithEngine option. internal/compiled calls it once,
+// from its package init; any further call panics, so the default is fixed
+// for the life of the process. The constructor runs once per diagnosis and
+// may return nil to select the interpreted engine for that specification.
+func RegisterDefaultEngine(build func(spec *cfsm.System) Engine) {
+	if defaultEngine != nil {
+		panic("core: default engine registered twice")
+	}
+	defaultEngine = build
+}
+
+// defaultEngineFor builds the default engine for one diagnosis of spec: the
+// registered engine when it accepts the specification, otherwise the
+// interpreted one.
+func defaultEngineFor(spec *cfsm.System) Engine {
+	if defaultEngine != nil {
+		if e := defaultEngine(spec); e != nil {
+			return e
+		}
+	}
+	return systemEngine{spec: spec}
+}
+
+// systemEngine is the interpreted reference: every operation runs against
+// the string-keyed cfsm.System exactly as the pipeline historically did.
 type systemEngine struct {
 	spec *cfsm.System
 }
 
-// NewSystemEngine returns the interpreted engine for a specification. It is
-// what the pipeline uses when no WithEngine option is given; the constructor
-// exists so differential tests can name the baseline explicitly.
+// NewSystemEngine returns the interpreted engine for a specification: the
+// reference semantics. Pass it with WithEngine to force a diagnosis off the
+// default (compiled) engine, as the differential tests and the sweep's
+// interpreted reference path do.
 func NewSystemEngine(spec *cfsm.System) Engine { return systemEngine{spec: spec} }
 
 func (e systemEngine) Explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault) bool {

@@ -66,12 +66,12 @@ func (a *Analysis) verifyHypotheses() {
 
 // explains reports whether injecting the fault into the specification makes
 // the whole test suite reproduce the observed outputs. The check is delegated
-// to the analysis' execution engine (interpreted by default, dense compiled
-// tables via WithEngine). With an observation matcher installed the
-// comparison runs through it instead of exact equality: a hypothesis
-// survives iff its prediction is compatible with the recorded observations
-// (for per-port projections, iff some consistent interleaving of the
-// prediction matches the local traces).
+// to the analysis' execution engine (dense compiled tables by default, the
+// interpreted reference via WithEngine(NewSystemEngine(spec))). With an
+// observation matcher installed the comparison runs through it instead of
+// exact equality: a hypothesis survives iff its prediction is compatible
+// with the recorded observations (for per-port projections, iff some
+// consistent interleaving of the prediction matches the local traces).
 func (a *Analysis) explains(f fault.Fault) bool {
 	if a.matcher == nil {
 		return a.engine().Explains(a.Suite, a.Observed, f)

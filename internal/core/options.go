@@ -16,7 +16,7 @@ type settings struct {
 	tracer             Tracer
 	registry           *obs.Registry // nil = observability disabled
 	trace              *trace.Tracer // nil = structured tracing disabled
-	engine             Engine        // nil = interpreted systemEngine
+	engine             Engine        // nil = default engine (defaultEngineFor)
 	matcher            ObsMatcher    // nil = exact observation equality
 }
 
@@ -96,7 +96,9 @@ func WithObsMatcher(m ObsMatcher) Option {
 // (hypothesis verification, variant runs, Step-6 searches). The engine must
 // have been built for the same specification passed to Analyze/Diagnose; the
 // verdicts are engine-independent by contract (see Engine). A nil engine —
-// the default — uses the interpreted system directly.
+// the default — uses the registered default engine (the compiled one
+// wherever internal/compiled is linked), falling back to the interpreted
+// NewSystemEngine when none is registered or the system does not pack.
 func WithEngine(e Engine) Option {
 	return func(s *settings) { s.engine = e }
 }

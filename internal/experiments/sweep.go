@@ -124,10 +124,11 @@ type SweepOptions struct {
 	// TraceFailures caps how many failing mutants are traced. Zero with a
 	// non-nil Trace means 1.
 	TraceFailures int
-	// Interpreted forces the historical string-keyed execution path. By
-	// default the sweep compiles the specification into the dense table
-	// representation (internal/compiled) once, shares the immutable program
-	// across workers, and diagnoses every mutant against a one-cell table
+	// Interpreted forces the interpreted reference path: every mutant is a
+	// cloned system and every diagnosis passes core.NewSystemEngine
+	// explicitly, so no compiled Program is touched. By default the sweep
+	// shares the specification's memoised program (internal/compiled)
+	// across workers and diagnoses every mutant against a one-cell table
 	// overlay instead of a cloned system. The two paths produce byte-
 	// identical SweepResults (pinned by differential tests); the sweep falls
 	// back to the interpreted path automatically when the system's global
@@ -289,30 +290,32 @@ func runSweepFaults(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCas
 	sweepStart := time.Now()
 	defer func() { met.duration.Observe(time.Since(sweepStart).Seconds()) }()
 
-	// Lower the specification once; every worker shares the immutable program
-	// and realizes mutants as one-cell overlays. A nil prog selects the
-	// interpreted path (forced, or state space too large to pack). The test
-	// suite is likewise compiled once per sweep — expected observations,
-	// symptom transitions and conflict prefixes precomputed — and the
-	// immutable result shared by every worker engine, so no mutant ever
-	// re-simulates the specification.
+	// Every worker shares the specification's memoised program
+	// (compiled.ProgramFor) and realizes mutants as one-cell overlays. A nil
+	// prog selects the interpreted path (forced, or state space too large to
+	// pack). The test suite is likewise compiled once per sweep — expected
+	// observations, symptom transitions and conflict prefixes precomputed —
+	// and the immutable result shared by every worker engine, so no mutant
+	// ever re-simulates the specification.
 	var prog *compiled.Program
 	var csuite *compiled.Suite
 	if !opts.Interpreted {
-		if p, err := compiled.Compile(spec); err == nil && p.Packable() {
-			prog = p
-			csuite = compiled.NewSuite(p, suite)
+		if p := compiled.ProgramFor(spec); p.Packable() {
+			prog, csuite = p, compiled.NewSuite(p, suite)
 		}
+	}
+	// workerEngine returns one goroutine's engine and oracle runner over the
+	// shared program: both reuse scratch buffers and must not cross
+	// goroutines. The compiled suite is immutable and shared by all workers.
+	workerEngine := func() (*compiled.Engine, *compiled.Runner) {
+		eng, _ := compiled.EngineFor(prog) // prog is packable
+		eng.SetSuite(csuite)
+		return eng, prog.NewRunner()
 	}
 
 	if workers == 1 {
 		if prog != nil {
-			eng, err := compiled.EngineFor(prog)
-			if err != nil {
-				return res, err // unreachable: Packable checked above
-			}
-			eng.SetSuite(csuite)
-			oracleR := prog.NewRunner()
+			eng, oracleR := workerEngine()
 			for _, f := range faults {
 				ov, ok := prog.OverlayFor(f)
 				if !ok {
@@ -382,19 +385,10 @@ func runSweepFaults(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCas
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker engine and oracle runner over the shared program:
-			// both reuse scratch buffers and must not cross goroutines. The
-			// compiled suite is immutable and shared by all workers.
 			var eng *compiled.Engine
 			var oracleR *compiled.Runner
 			if prog != nil {
-				var err error
-				if eng, err = compiled.EngineFor(prog); err != nil {
-					eng = nil // unreachable: Packable checked at selection
-				} else {
-					eng.SetSuite(csuite)
-					oracleR = prog.NewRunner()
-				}
+				eng, oracleR = workerEngine()
 			}
 			for idx := range jobs {
 				var report MutantReport
@@ -486,13 +480,14 @@ func (res *SweepResult) add(report MutantReport) {
 }
 
 // diagnoseMutant runs the full Steps 1–6 diagnosis of one mutant against the
-// specification and classifies the outcome. It is pure with respect to
-// shared state — spec and suite are read-only — and therefore safe to call
-// from concurrent sweep workers.
+// specification on the interpreted reference engine and classifies the
+// outcome. It is pure with respect to shared state — spec and suite are
+// read-only — and therefore safe to call from concurrent sweep workers.
 func diagnoseMutant(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, m fault.Mutant, opts SweepOptions, traceBudget *int64) (MutantReport, error) {
 	report := MutantReport{Fault: m.Fault}
 	oracle := &core.SystemOracle{Sys: m.System}
-	loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, core.WithRegistry(opts.Registry))
+	loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, core.WithRegistry(opts.Registry),
+		core.WithEngine(core.NewSystemEngine(spec)))
 	if err != nil {
 		return report, fmt.Errorf("diagnose %s: %w", m.Fault.Describe(spec), err)
 	}
@@ -572,14 +567,16 @@ func classifyOutcome(loc *core.Localization, injected fault.Fault, report *Mutan
 }
 
 // traceMutant re-runs one detected mutant's diagnosis with structured tracing
-// enabled, inside a sweep.mutant span. The diagnosis is deterministic, so the
-// re-run repeats exactly the result just classified; tracing the second pass
-// keeps the tracer entirely off the untraced mutants' path.
+// enabled, inside a sweep.mutant span, on the interpreted reference engine.
+// The diagnosis is deterministic, so the re-run repeats exactly the result
+// just classified; tracing the second pass keeps the tracer entirely off the
+// untraced mutants' path.
 func traceMutant(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, m fault.Mutant, out MutantOutcome, tr *trace.Tracer) {
 	span := tr.Begin(trace.KindSweepMutant,
 		trace.A("fault", m.Fault.Describe(spec)),
 		trace.A("outcome", out.String()))
-	if _, err := core.DiagnoseContext(ctx, spec, suite, &core.SystemOracle{Sys: m.System}, core.WithTrace(tr)); err != nil {
+	if _, err := core.DiagnoseContext(ctx, spec, suite, &core.SystemOracle{Sys: m.System}, core.WithTrace(tr),
+		core.WithEngine(core.NewSystemEngine(spec))); err != nil {
 		span.End(trace.A("error", err.Error()))
 		return
 	}

@@ -294,23 +294,26 @@ func TestSSEConcurrentSubscribersAndDisconnectNoLeak(t *testing.T) {
 	}
 
 	// The disconnected handler and all finished streams must unwind. Allow
-	// the runtime a moment to reap them.
+	// the runtime a moment to reap them. The gauge is polled inside the same
+	// deadline: the goroutine slack below can hide a disconnected handler
+	// that is still unwinding when the goroutine count first drops.
+	g := reg.Gauge(metricSSEStreams, "")
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		// Idle keep-alive connections in the shared transport hold two
 		// goroutines each; drop them so only genuine leaks remain.
 		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		runtime.GC()
-		if runtime.NumGoroutine() <= before+2 { // slack for httptest's own pool
+		if runtime.NumGoroutine() <= before+2 && g.Value() == 0 { // slack for httptest's own pool
 			break
 		}
 		if time.Now().After(deadline) {
+			if g.Value() != 0 {
+				t.Fatalf("stream gauge = %d after all streams ended, want 0", g.Value())
+			}
 			t.Fatalf("goroutines: before=%d after=%d — stream handlers leaked", before, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-	if g := reg.Gauge(metricSSEStreams, ""); g.Value() != 0 {
-		t.Fatalf("stream gauge = %d after all streams ended, want 0", g.Value())
 	}
 	if c := reg.Counter(metricSSEStreamsServed, ""); c.Value() == 0 {
 		t.Fatal("streams-served counter never incremented")
