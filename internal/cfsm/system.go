@@ -205,6 +205,17 @@ func (m *Machine) ByName(name string) (Transition, bool) {
 	return m.sorted[i], true
 }
 
+// Index returns the position of the named transition in the Transitions
+// order, if the machine defines it.
+func (m *Machine) Index(name string) (int, bool) {
+	i, ok := m.byName[name]
+	return int(i), ok
+}
+
+// NameAt returns the name of the transition at position i of the
+// Transitions order (the inverse of Index).
+func (m *Machine) NameAt(i int) string { return m.sorted[i].Name }
+
 // Transitions returns all transitions sorted by (From, Input). The slice is a
 // copy of the stored order, so calling it in hot loops costs one copy, never
 // a re-sort.

@@ -70,7 +70,7 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 			}
 			tIdx := c.symTrans[j]
 			if tIdx >= 0 {
-				r := p.Ref(tIdx)
+				r := s.refs[tIdx]
 				sym.Transition = &r
 			}
 			a.Symptoms = append(a.Symptoms, sym)
@@ -92,7 +92,7 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 		}
 	}
 	if ustKnown && ustUnique && ustIdx >= 0 {
-		r := p.Ref(ustIdx)
+		r := s.refs[ustIdx]
 		a.UST = &r
 		a.USO = uso
 	} else {
@@ -115,7 +115,7 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 		sets := make(core.MachineSets, n)
 		for x := 0; x < prefix; x++ {
 			idx := c.firstExec[x]
-			sets[p.trans[idx].Machine] = append(sets[p.trans[idx].Machine], p.Ref(idx))
+			sets[p.trans[idx].Machine] = append(sets[p.trans[idx].Machine], s.refs[idx])
 		}
 		a.Conflicts[i] = sets
 		if k == 0 {
@@ -142,7 +142,7 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 			continue
 		}
 		m := p.trans[idx].Machine
-		a.ITC[m] = append(a.ITC[m], p.Ref(idx))
+		a.ITC[m] = append(a.ITC[m], s.refs[idx])
 		e.anITC[m] = append(e.anITC[m], idx)
 	}
 
@@ -156,13 +156,13 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 	for m := 0; m < n; m++ {
 		for _, idx := range e.anITC[m] {
 			if idx == ustIdx {
-				a.UstSet = append(a.UstSet, p.Ref(idx))
+				a.UstSet = append(a.UstSet, s.refs[idx])
 				continue
 			}
-			a.FTCtr[m] = append(a.FTCtr[m], p.Ref(idx))
+			a.FTCtr[m] = append(a.FTCtr[m], s.refs[idx])
 			e.anFTCtr[m] = append(e.anFTCtr[m], idx)
 			if p.trans[idx].Internal() {
-				a.FTCco[m] = append(a.FTCco[m], p.Ref(idx))
+				a.FTCco[m] = append(a.FTCco[m], s.refs[idx])
 				e.anFTCco[m] = append(e.anFTCco[m], idx)
 			}
 		}
@@ -185,7 +185,7 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 	}
 	for m := 0; m < n; m++ {
 		for _, idx := range e.anFTCtr[m] {
-			a.EndStates[p.Ref(idx)] = e.endStates(s, observed, idx)
+			a.EndStates[s.refs[idx]] = e.endStates(s, observed, idx)
 		}
 	}
 	if len(a.UstSet) > 0 {
@@ -199,7 +199,7 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 	}
 	for m := 0; m < n; m++ {
 		for _, idx := range e.anFTCco[m] {
-			r := p.Ref(idx)
+			r := s.refs[idx]
 			if a.Flag {
 				a.StatOut[r] = e.coStatOut(s, observed, idx)
 			} else {
@@ -299,11 +299,11 @@ func (e *Engine) legalAltOutput(idx int32, o cfsm.Symbol) (int32, bool) {
 	}
 	p := e.p
 	t := p.trans[idx]
-	oid, ok := p.symID[o]
-	if !ok || oid == t.Output {
+	oid := p.symID(o)
+	if oid < 0 || oid == t.Output {
 		return -1, false
 	}
-	for _, alt := range t.altOuts {
+	for _, alt := range p.altOuts(idx) {
 		if alt == oid {
 			return oid, true
 		}
@@ -318,7 +318,7 @@ func (e *Engine) coOutputs(s *Suite, observed [][]cobs, idx int32) []cfsm.Symbol
 	p := e.p
 	t := p.trans[idx]
 	var out []cfsm.Symbol
-	for _, oid := range t.altOuts {
+	for _, oid := range p.altOuts(idx) {
 		if oid == p.epsID || p.syms[oid] == "" {
 			continue
 		}
@@ -337,7 +337,7 @@ func (e *Engine) coStatOut(s *Suite, observed [][]cobs, idx int32) []core.StateO
 	t := p.trans[idx]
 	mp := &p.machines[t.Machine]
 	var out []core.StateOutput
-	for _, oid := range t.altOuts {
+	for _, oid := range p.altOuts(idx) {
 		if oid == p.epsID || p.syms[oid] == "" {
 			continue
 		}

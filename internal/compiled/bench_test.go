@@ -6,6 +6,7 @@ import (
 	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/experiments"
 	"cfsmdiag/internal/paper"
+	"cfsmdiag/internal/randgen"
 	"cfsmdiag/internal/testgen"
 )
 
@@ -50,6 +51,28 @@ func BenchmarkSweepTour(b *testing.B) {
 	if len(uncovered) > 0 {
 		b.Fatalf("tour left %v uncovered", uncovered)
 	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.RunSweepOpts(spec, suite,
+			experiments.SweepOptions{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSweepRandTour is the serial sweep of the benchmark's rand-sweep
+// system 0 (randgen N=4, States=6, ExtInputs=3, seed 1; 2,965 mutants) with
+// its generated transition tour: one 212-step case, the long-tour shape in
+// which the hypothesis replay's re-convergence cut-off saves the most.
+func BenchmarkSweepRandTour(b *testing.B) {
+	cfg := randgen.DefaultConfig()
+	cfg.N, cfg.States, cfg.ExtInputs = 4, 6, 3
+	cfg.Seed = 1
+	spec, err := randgen.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	suite, _ := testgen.Tour(spec, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunSweepOpts(spec, suite,

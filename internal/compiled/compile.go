@@ -31,7 +31,8 @@ import (
 // Trans is one transition in compiled form. All fields are dense IDs:
 // From/To index the owning machine's sorted state list, Input/Output index
 // the program's global symbol table, Dest is the receiving machine index or
-// -1 for the environment (external output).
+// -1 for the environment (external output). The name stays with the source
+// machine (see Program.Ref).
 type Trans struct {
 	Machine int32
 	From    int32
@@ -39,10 +40,9 @@ type Trans struct {
 	Output  int32
 	To      int32
 	Dest    int32
-	Name    string
-	// altOuts is the transition's output-fault hypothesis space
-	// (cfsm.System.AlternativeOutputs) as sorted symbol IDs.
-	altOuts []int32
+	// alts[altLo:altHi] of the program is the transition's output-fault
+	// hypothesis space (cfsm.System.AlternativeOutputs) as sorted symbol IDs.
+	altLo, altHi int32
 }
 
 // Internal reports whether the transition delivers its output to a peer.
@@ -52,9 +52,11 @@ func (t Trans) Internal() bool { return t.Dest >= 0 }
 type machineProg struct {
 	name      string
 	states    []cfsm.State // sorted, ID = index
-	stateID   map[cfsm.State]int32
 	initial   int32
 	numStates int32
+	// base is the compiled index of the machine's first transition: a
+	// transition's index is base plus its position in Machine.Transitions.
+	base int32
 	// lookup maps state*numSyms+symbol to transition index+1 (0 = no
 	// transition defined), the dense replacement for Machine.Lookup.
 	lookup []int32
@@ -78,13 +80,13 @@ const maxPackedConfigs = uint64(1) << 31
 type Program struct {
 	src      *cfsm.System
 	syms     []cfsm.Symbol // sorted, ID = index
-	symID    map[cfsm.Symbol]int32
+	symIdx   map[cfsm.Symbol]int32
 	nullID   int32
 	epsID    int32
 	machines []machineProg
 	trans    []Trans
-	refIdx   map[cfsm.Ref]int32
-	inputs   []stim // testgen.AllInputs order
+	alts     []int32 // every transition's alternative outputs, see Trans
+	inputs   []stim  // testgen.AllInputs order
 
 	// Mixed-radix packing of global configurations: packed(cfg) equals the
 	// sum of state-ID times stride per machine.
@@ -105,7 +107,7 @@ func Compile(sys *cfsm.System) (*Program, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("compiled: nil system")
 	}
-	p := &Program{src: sys, refIdx: make(map[cfsm.Ref]int32)}
+	p := &Program{src: sys}
 
 	// Intern every symbol appearing in the system plus the reserved Null and
 	// Epsilon, in sorted order so symbol-ID order equals string order.
@@ -121,12 +123,12 @@ func Compile(sys *cfsm.System) (*Program, error) {
 		p.syms = append(p.syms, s)
 	}
 	sort.Slice(p.syms, func(i, j int) bool { return p.syms[i] < p.syms[j] })
-	p.symID = make(map[cfsm.Symbol]int32, len(p.syms))
+	p.symIdx = make(map[cfsm.Symbol]int32, len(p.syms))
 	for i, s := range p.syms {
-		p.symID[s] = int32(i)
+		p.symIdx[s] = int32(i)
 	}
-	p.nullID = p.symID[cfsm.Null]
-	p.epsID = p.symID[cfsm.Epsilon]
+	p.nullID = p.symID(cfsm.Null)
+	p.epsID = p.symID(cfsm.Epsilon)
 	numSyms := int32(len(p.syms))
 
 	// Machines: states are already sorted by construction (Machine.States),
@@ -137,46 +139,54 @@ func Compile(sys *cfsm.System) (*Program, error) {
 		mp := machineProg{
 			name:      m.Name(),
 			states:    states,
-			stateID:   make(map[cfsm.State]int32, len(states)),
 			numStates: int32(len(states)),
 		}
-		for si, s := range states {
-			mp.stateID[s] = int32(si)
-		}
-		mp.initial = mp.stateID[m.Initial()]
+		mp.initial, _ = mp.stateID(m.Initial())
 		mp.lookup = make([]int32, int(mp.numStates)*int(numSyms))
 		p.machines = append(p.machines, mp)
 	}
 
 	// Transitions in cfsm.System.Refs order: machine index, then (From,
 	// Input) — the canonical enumeration order everywhere else.
+	numTrans := 0
+	for i := 0; i < sys.N(); i++ {
+		numTrans += sys.Machine(i).NumTransitions()
+	}
+	p.trans = make([]Trans, 0, numTrans)
 	for i := 0; i < sys.N(); i++ {
 		m := sys.Machine(i)
 		mp := &p.machines[i]
+		mp.base = int32(len(p.trans))
 		for _, t := range m.Transitions() {
 			ref := cfsm.Ref{Machine: i, Name: t.Name}
+			from, _ := mp.stateID(t.From)
+			to, _ := mp.stateID(t.To)
 			ct := Trans{
 				Machine: int32(i),
-				From:    mp.stateID[t.From],
-				Input:   p.symID[t.Input],
-				Output:  p.symID[t.Output],
-				To:      mp.stateID[t.To],
+				From:    from,
+				Input:   p.symID(t.Input),
+				Output:  p.symID(t.Output),
+				To:      to,
 				Dest:    int32(t.Dest),
-				Name:    t.Name,
+				altLo:   int32(len(p.alts)),
 			}
 			for _, o := range sys.AlternativeOutputs(ref) {
-				ct.altOuts = append(ct.altOuts, p.symID[o])
+				p.alts = append(p.alts, p.symID(o))
 			}
+			ct.altHi = int32(len(p.alts))
 			idx := int32(len(p.trans))
 			p.trans = append(p.trans, ct)
-			p.refIdx[ref] = idx
 			mp.lookup[int(ct.From)*int(numSyms)+int(ct.Input)] = idx + 1
 		}
 	}
 
+	p.alts = append([]int32(nil), p.alts...) // drop the growth slack
+
 	// External-input universe, exactly testgen.AllInputs order.
-	for _, in := range testgen.AllInputs(sys) {
-		p.inputs = append(p.inputs, stim{port: int32(in.Port), sym: p.symID[in.Sym]})
+	all := testgen.AllInputs(sys)
+	p.inputs = make([]stim, len(all))
+	for k, in := range all {
+		p.inputs[k] = stim{port: int32(in.Port), sym: p.symID(in.Sym)}
 	}
 
 	// Configuration packing.
@@ -223,18 +233,55 @@ func (p *Program) Configs() uint64 { return p.configs }
 // integer keys the Engine searches require.
 func (p *Program) Packable() bool { return p.configs > 0 }
 
-// Ref returns the compiled transition's global reference.
+// Ref returns the compiled transition's global reference, naming it from the
+// source machine (the inverse of TransIndex).
 func (p *Program) Ref(idx int32) cfsm.Ref {
-	return cfsm.Ref{Machine: int(p.trans[idx].Machine), Name: p.trans[idx].Name}
+	m := p.trans[idx].Machine
+	return cfsm.Ref{Machine: int(m), Name: p.src.Machine(int(m)).NameAt(int(idx - p.machines[m].base))}
 }
 
 // Trans returns the compiled transition table entry at idx.
 func (p *Program) Trans(idx int32) Trans { return p.trans[idx] }
 
-// TransIndex resolves a transition reference to its compiled index.
+// TransIndex resolves a transition reference to its compiled index: the
+// machine's base index plus the transition's position in the source
+// machine's sorted order, read from the machine's own name index
+// (cfsm.Machine.Index) rather than a program-wide map.
 func (p *Program) TransIndex(r cfsm.Ref) (int32, bool) {
-	idx, ok := p.refIdx[r]
-	return idx, ok
+	if r.Machine < 0 || r.Machine >= len(p.machines) {
+		return -1, false
+	}
+	k, ok := p.src.Machine(r.Machine).Index(r.Name)
+	if !ok {
+		return -1, false
+	}
+	return p.machines[r.Machine].base + int32(k), true
+}
+
+// altOuts returns the alternative outputs of transition idx as sorted
+// symbol IDs.
+func (p *Program) altOuts(idx int32) []int32 {
+	t := &p.trans[idx]
+	return p.alts[t.altLo:t.altHi]
+}
+
+// symID resolves a symbol to its ID; -1 when the symbol is outside the
+// program's alphabet.
+func (p *Program) symID(s cfsm.Symbol) int32 {
+	if id, ok := p.symIdx[s]; ok {
+		return id
+	}
+	return -1
+}
+
+// stateID resolves a state name to its ID by binary search over the
+// machine's sorted states.
+func (mp *machineProg) stateID(s cfsm.State) (int32, bool) {
+	i := sort.Search(len(mp.states), func(i int) bool { return mp.states[i] >= s })
+	if i < len(mp.states) && mp.states[i] == s {
+		return int32(i), true
+	}
+	return -1, false
 }
 
 // Symbol decodes a symbol ID; out-of-range IDs decode to Epsilon, which only

@@ -2,6 +2,7 @@ package compiled
 
 import (
 	"fmt"
+	"slices"
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/core"
@@ -40,6 +41,15 @@ type Engine struct {
 	observed [][]cobs
 	inBuf    []cin
 
+	// Divergence table (see divergence): div[i][j] is the first step >= j of
+	// case i at which the compiled observation differs from the
+	// specification's. divFor is the suite the table was built for; nil
+	// marks it stale. compileObserved lowers new observations into the same
+	// reused buffers, so it must clear divFor whenever it recompiles.
+	div    [][]int32
+	divBuf []int32
+	divFor *Suite
+
 	// Analysis scratch (see analysis.go), reused across AnalyzeInto calls.
 	anInter Bits
 	anCur   Bits
@@ -47,9 +57,9 @@ type Engine struct {
 	anFTCtr [][]int32
 	anFTCco [][]int32
 
-	// One-entry memo for the fault.Ref→transition-index map lookup:
-	// sweep callers probe every fault of one transition consecutively, and
-	// hashing cfsm.Ref map keys shows up in sweep profiles (~6%). Unsynchronized
+	// One-entry memo for the fault.Ref→transition-index lookup
+	// (Program.TransIndex): sweep callers probe every fault of one transition
+	// consecutively, and hashing the name shows up in sweep profiles. Unsynchronized
 	// like the rest of the scratch state: safe only under the
 	// one-goroutine-per-Engine contract above.
 	memoRef   cfsm.Ref
@@ -62,7 +72,7 @@ type Engine struct {
 // memo fields above). Behaviour is identical; the differential tests pin it.
 func (e *Engine) overlayFor(f fault.Fault) (Overlay, bool) {
 	if !e.memoSet || f.Ref != e.memoRef {
-		e.memoIdx, e.memoFound = e.p.refIdx[f.Ref]
+		e.memoIdx, e.memoFound = e.p.TransIndex(f.Ref)
 		e.memoRef = f.Ref
 		e.memoSet = true
 	}
@@ -173,6 +183,7 @@ func (e *Engine) compileObserved(observed [][]cfsm.Observation) {
 	for i, obs := range observed {
 		e.observed[i] = e.p.compileObs(obs, e.observed[i])
 	}
+	e.divFor = nil
 	if len(observed) > 0 {
 		e.obsKey = &observed[0]
 	} else {
@@ -201,18 +212,22 @@ func (e *Engine) Explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, 
 // The compiled analysis (AnalyzeInto) calls it directly with overlays it
 // synthesizes, skipping the per-hypothesis fault construction and validation.
 //
-// A single-cell overlay on transition t behaves exactly like the
-// specification until t first executes, and an overlay never changes when t
-// fires (its From/Input guard is not overlaid). The replay therefore skips
-// the simulation up to fireStep(t): the prefix is compared against the
-// precomputed expected observations, and the simulation resumes from the
-// suite's configuration snapshot. A case in which t never executes reduces
-// to the prefix comparison alone.
+// A single-cell overlay on transition t changes a step only when t fires in
+// it, and never changes whether t fires (t's From/Input guard is not
+// overlaid). So whenever the overlaid run is in the specification run's
+// configuration before step j (cfgs), it repeats the specification run step
+// for step until t next fires at step k (the suite's fire index): steps j..k-1
+// are decided by the divergence table alone, and the simulation resumes at k
+// from the snapshot cfgs[k]. The replay therefore simulates only t's firings
+// and the stretches after them in which the configuration has not yet
+// re-converged; a case in which t never fires reduces to one table lookup.
+// Cases without a complete specification run (snap unset) and the empty
+// overlay replay every step.
 func (e *Engine) explainsOverlay(s *Suite, observed [][]cobs, ov Overlay) bool {
 	r := e.r
 	r.ov = ov
 	defer r.Flush()
-	n := len(e.p.machines)
+	div := e.divergence(s, observed)
 	for i := range s.cases {
 		c := &s.cases[i]
 		if c.badInput {
@@ -222,32 +237,108 @@ func (e *Engine) explainsOverlay(s *Suite, observed [][]cobs, ov Overlay) bool {
 		if len(want) != len(c.inputs) {
 			return false
 		}
-		j0 := 0
+		var ok bool
 		if ov.t >= 0 && c.snap {
-			j0 = c.fireStep(ov.t)
-			for j := 0; j < j0; j++ {
-				if c.expC[j] != want[j] {
-					return false
-				}
-			}
-			if j0 == len(c.inputs) {
-				continue
-			}
-			copy(r.cfg, c.cfgs[j0*n:(j0+1)*n])
+			ok = e.replayFrom(c, want, div[i], ov.t)
 		} else {
-			r.restart()
+			ok = e.replay(c, want)
 		}
-		for j := j0; j < len(c.inputs); j++ {
-			o, _, _, err := r.step(c.inputs[j])
-			if err != nil {
-				return false
-			}
-			if o != want[j] {
-				return false
-			}
+		if !ok {
+			return false
 		}
 	}
 	return true
+}
+
+// replay simulates every step of the case from the initial configuration
+// and compares each observation.
+func (e *Engine) replay(c *suiteCase, want []cobs) bool {
+	r := e.r
+	r.restart()
+	for j, in := range c.inputs {
+		o, _, _, err := r.step(in)
+		if err != nil || o != want[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// replayFrom is the cut-off replay of explainsOverlay for an overlay on
+// transition t over a case with a complete specification run: it simulates
+// from each firing of t until the configuration re-converges with the
+// specification's, and answers every other stretch from the divergence
+// table d.
+func (e *Engine) replayFrom(c *suiteCase, want []cobs, d []int32, t int32) bool {
+	r := e.r
+	n := len(r.cfg)
+	fires := c.fires(t)
+	steps := len(c.inputs)
+	j := 0 // the overlaid run is in the specification's configuration before step j
+	for {
+		for len(fires) > 0 && int(fires[0]) < j {
+			fires = fires[1:]
+		}
+		if len(fires) == 0 {
+			return int(d[j]) == steps
+		}
+		k := int(fires[0])
+		if int(d[j]) < k {
+			return false
+		}
+		copy(r.cfg, c.cfgs[k*n:(k+1)*n])
+		for j = k; ; {
+			o, _, _, err := r.step(c.inputs[j])
+			if err != nil || o != want[j] {
+				return false
+			}
+			j++
+			if j == steps {
+				return true
+			}
+			if slices.Equal(r.cfg, c.cfgs[j*n:(j+1)*n]) {
+				break
+			}
+		}
+	}
+}
+
+// divergence returns the divergence table of the suite against the engine's
+// compiled observations (observed is e.observed), rebuilding it only when
+// the suite or the observations changed since the last build (see the div
+// fields). For each case of the suite the row has one entry per expected
+// observation plus a final sentinel equal to the case length.
+func (e *Engine) divergence(s *Suite, observed [][]cobs) [][]int32 {
+	if e.divFor == s {
+		return e.div
+	}
+	total := 0
+	for i := range s.cases {
+		total += len(s.cases[i].expC) + 1
+	}
+	if cap(e.divBuf) < total {
+		e.divBuf = make([]int32, total)
+	}
+	buf := e.divBuf[:total]
+	e.div = e.div[:0]
+	for i := range s.cases {
+		c := &s.cases[i]
+		want := observed[i]
+		m := len(c.expC)
+		row := buf[: m+1 : m+1]
+		buf = buf[m+1:]
+		next := int32(m)
+		row[m] = next
+		for j := m - 1; j >= 0; j-- {
+			if j >= len(want) || c.expC[j] != want[j] {
+				next = int32(j)
+			}
+			row[j] = next
+		}
+		e.div = append(e.div, row)
+	}
+	e.divFor = s
+	return e.div
 }
 
 // variant is a compiled behavioural hypothesis: the program under one
@@ -313,7 +404,7 @@ func (v variant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, core.Positi
 // target state (testgen.TransferToState over the specification).
 func (e *Engine) TransferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool) {
 	goal := int32(-1)
-	if id, ok := e.p.machines[machine].stateID[target]; ok {
+	if id, ok := e.p.machines[machine].stateID(target); ok {
 		goal = id
 	}
 	return e.transferSearch(machine, goal, avoid)

@@ -27,7 +27,7 @@ func None() Overlay { return Overlay{t: -1} }
 // chain restriction) for address faults. The equivalence is pinned by the
 // differential tests.
 func (p *Program) OverlayFor(f fault.Fault) (Overlay, bool) {
-	idx, ok := p.refIdx[f.Ref]
+	idx, ok := p.TransIndex(f.Ref)
 	if !ok {
 		return Overlay{}, false
 	}
@@ -47,12 +47,12 @@ func (p *Program) overlayAt(idx int32, f fault.Fault) (Overlay, bool) {
 		return Overlay{}, false
 	}
 	if f.Kind == fault.KindOutput || f.Kind == fault.KindBoth {
-		oid, ok := p.symID[f.Output]
-		if !ok || oid == t.Output {
+		oid := p.symID(f.Output)
+		if oid < 0 || oid == t.Output {
 			return Overlay{}, false
 		}
 		legal := false
-		for _, alt := range t.altOuts {
+		for _, alt := range p.altOuts(idx) {
 			if alt == oid {
 				legal = true
 				break
@@ -64,7 +64,7 @@ func (p *Program) overlayAt(idx int32, f fault.Fault) (Overlay, bool) {
 		ov.output = oid
 	}
 	if f.Kind == fault.KindTransfer || f.Kind == fault.KindBoth {
-		sid, ok := p.machines[t.Machine].stateID[f.To]
+		sid, ok := p.machines[t.Machine].stateID(f.To)
 		if !ok || sid == t.To {
 			return Overlay{}, false
 		}

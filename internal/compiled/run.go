@@ -142,10 +142,10 @@ func (r *Runner) step(in cin) (obs cobs, e1, e2 int32, err error) {
 	}
 	o, e1, e2, ok := p.stepCfg(r.cfg, r.ov, stim{port: in.port, sym: in.sym})
 	if !ok {
-		t, t2 := p.trans[e1], p.trans[e2]
+		r1, r2 := p.Ref(e1), p.Ref(e2)
 		return cobs{}, -1, -1, fmt.Errorf("%w: %s.%s -> %s.%s",
 			cfsm.ErrChainedInternal,
-			p.machines[t.Machine].name, t.Name, p.machines[t2.Machine].name, t2.Name)
+			p.machines[r1.Machine].name, r1.Name, p.machines[r2.Machine].name, r2.Name)
 	}
 	return o, e1, e2, nil
 }
@@ -159,11 +159,7 @@ func (p *Program) compileInput(in cfsm.Input) (cin, error) {
 	if in.Port < 0 || in.Port >= len(p.machines) {
 		return cin{}, fmt.Errorf("cfsm: input %v addresses unknown port %d", in, in.Port)
 	}
-	sym, ok := p.symID[in.Sym]
-	if !ok {
-		sym = -1
-	}
-	return cin{port: int32(in.Port), sym: sym}, nil
+	return cin{port: int32(in.Port), sym: p.symID(in.Sym)}, nil
 }
 
 // compileInputs lowers an input sequence into dst (reused when capacity
@@ -185,11 +181,7 @@ func (p *Program) compileInputs(inputs []cfsm.Input, dst []cin) ([]cin, error) {
 func (p *Program) compileObs(obs []cfsm.Observation, dst []cobs) []cobs {
 	dst = dst[:0]
 	for _, o := range obs {
-		sym, ok := p.symID[o.Sym]
-		if !ok {
-			sym = -1
-		}
-		dst = append(dst, cobs{sym: sym, port: int32(o.Port)})
+		dst = append(dst, cobs{sym: p.symID(o.Sym), port: int32(o.Port)})
 	}
 	return dst
 }

@@ -104,7 +104,7 @@ func (e *Engine) avoidMask(avoid testgen.RefSet) []bool {
 	}
 	mask := make([]bool, len(e.p.trans))
 	for r := range avoid {
-		if idx, ok := e.p.refIdx[r]; ok {
+		if idx, ok := e.p.TransIndex(r); ok {
 			mask[idx] = true
 		}
 	}

@@ -9,8 +9,10 @@ import (
 // suiteCase is one test case lowered onto a Program together with everything
 // Steps 1–4 derive from the specification alone: the compiled inputs, the
 // specification's expected observations (compiled and decoded), the symptom
-// transition of every step, and the first-execution order of transitions that
-// conflict-set prefixes are cut from.
+// transition of every step, the first-execution order of transitions that
+// conflict-set prefixes are cut from, and the fire index and configuration
+// snapshots that let a hypothesis replay skip every step its overlay cannot
+// change (see Engine.explainsOverlay).
 type suiteCase struct {
 	inputs []cin
 	// badInput is set when an input failed to compile (out-of-range port);
@@ -39,25 +41,26 @@ type suiteCase struct {
 	// firstStep entries are <= j.
 	firstExec []int32
 	firstStep []int32
+	// fireAt[fireOff[t]:fireOff[t+1]] are the ascending 0-based steps at
+	// which transition t fires in the specification run (compressed sparse
+	// rows: one offset array and one step array per case). Only complete
+	// runs (snap) carry the index.
+	fireOff []int32
+	fireAt  []int32
 	// cfgs is the specification run's configuration before each step, flat
 	// with one len(p.machines) stride per step; snap marks it complete (the
-	// whole case simulated without error). An overlay on transition t cannot
-	// diverge from the specification before t first executes, so a replay
-	// under the overlay may compare the prefix against expC and resume the
-	// simulation at fireStep(t) from the snapshot (see explainsOverlay).
+	// whole case simulated without error). With the fire index it lets a
+	// replay under an overlay on t start at t's first firing and jump over
+	// every stretch in which the overlaid run is back in the specification's
+	// configuration and t does not fire.
 	cfgs []int32
 	snap bool
 }
 
-// fireStep returns the 0-based step at which transition idx first executes
-// in the specification run of this case, or len(inputs) when it never does.
-func (c *suiteCase) fireStep(idx int32) int {
-	for k, t := range c.firstExec {
-		if t == idx {
-			return int(c.firstStep[k])
-		}
-	}
-	return len(c.inputs)
+// fires returns the ascending steps at which transition t fires in the
+// specification run of this case.
+func (c *suiteCase) fires(t int32) []int32 {
+	return c.fireAt[c.fireOff[t]:c.fireOff[t+1]]
 }
 
 // conflictPrefix returns how many firstExec entries belong to the conflict
@@ -86,21 +89,30 @@ type Suite struct {
 	// expected aliases the per-case exp slices in suite order, ready to be
 	// used as an Analysis.Expected.
 	expected [][]cfsm.Observation
+	// refs[t] is p.Ref(t), resolved once per suite: every analysis over the
+	// suite reports its symptoms, conflict sets and candidates as Refs.
+	refs []cfsm.Ref
 }
 
 // NewSuite lowers a test suite onto the program. Input-compile and
 // specification-simulation failures are recorded per case, not returned: the
 // analysis that touches a failing case reproduces the interpreted error.
 func NewSuite(p *Program, suite []cfsm.TestCase) *Suite {
-	s := &Suite{p: p, n: len(suite), cases: make([]suiteCase, len(suite))}
+	s := &Suite{p: p, n: len(suite), cases: make([]suiteCase, len(suite)),
+		expected: make([][]cfsm.Observation, len(suite)),
+		refs:     make([]cfsm.Ref, len(p.trans))}
+	for t := range s.refs {
+		s.refs[t] = p.Ref(int32(t))
+	}
 	if len(suite) > 0 {
 		s.key = &suite[0]
 	}
 	r := p.NewRunner()
 	defer r.Flush()
+	var fired []int32 // scratch: (transition, step) pairs of one case
 	for i, tc := range suite {
-		s.cases[i] = compileSuiteCase(p, r, tc)
-		s.expected = append(s.expected, s.cases[i].exp)
+		s.cases[i], fired = compileSuiteCase(p, r, tc, fired[:0])
+		s.expected[i] = s.cases[i].exp
 	}
 	return s
 }
@@ -115,14 +127,26 @@ func (s *Suite) Matches(suite []cfsm.TestCase) bool {
 }
 
 // compileSuiteCase lowers one test case and simulates it on the
-// specification, recording expected observations, symptom transitions and
-// the first-execution order.
-func compileSuiteCase(p *Program, r *Runner, tc cfsm.TestCase) suiteCase {
-	c := suiteCase{exp: make([]cfsm.Observation, 0, len(tc.Inputs))}
+// specification, recording expected observations, symptom transitions, the
+// first-execution order and the fire index. fired is scratch for the
+// (transition, step) firing pairs, returned for reuse by the next case.
+func compileSuiteCase(p *Program, r *Runner, tc cfsm.TestCase, fired []int32) (suiteCase, []int32) {
+	n := len(tc.Inputs)
+	c := suiteCase{
+		inputs:   make([]cin, 0, n),
+		expC:     make([]cobs, 0, n),
+		exp:      make([]cfsm.Observation, 0, n),
+		symTrans: make([]int32, 0, n),
+		cfgs:     make([]int32, 0, n*len(p.machines)),
+	}
 	r.SetOverlay(None())
 	seen := NewBits(len(p.trans))
 	record := func(idx int32, step int) {
-		if idx >= 0 && !seen.Has(idx) {
+		if idx < 0 {
+			return
+		}
+		fired = append(fired, idx, int32(step))
+		if !seen.Has(idx) {
 			seen.Set(idx)
 			c.firstExec = append(c.firstExec, idx)
 			c.firstStep = append(c.firstStep, int32(step))
@@ -135,7 +159,7 @@ func compileSuiteCase(p *Program, r *Runner, tc cfsm.TestCase) suiteCase {
 			if c.simErr == nil {
 				c.simErr = fmt.Errorf("test case %s, step %d (%v): %w", tc.Name, i+1, in, err)
 			}
-			return c
+			return c, fired
 		}
 		c.inputs = append(c.inputs, ci)
 		if c.simErr != nil {
@@ -166,5 +190,32 @@ func compileSuiteCase(p *Program, r *Runner, tc cfsm.TestCase) suiteCase {
 		c.symTrans = append(c.symTrans, sym)
 	}
 	c.snap = c.simErr == nil
-	return c
+	if c.snap {
+		c.fireOff, c.fireAt = fireIndex(len(p.trans), fired)
+	}
+	return c, fired
+}
+
+// fireIndex builds the CSR fire index from (transition, step) pairs listed
+// in step order: a counting pass sizes each transition's row, a second pass
+// fills the rows, keeping every row ascending.
+func fireIndex(numTrans int, fired []int32) (off, at []int32) {
+	off = make([]int32, numTrans+1)
+	for k := 0; k < len(fired); k += 2 {
+		off[fired[k]+1]++
+	}
+	for t := 0; t < numTrans; t++ {
+		off[t+1] += off[t]
+	}
+	at = make([]int32, len(fired)/2)
+	next := off[:numTrans] // fill cursor per row, consumed back into off
+	for k := 0; k < len(fired); k += 2 {
+		t := fired[k]
+		at[next[t]] = fired[k+1]
+		next[t]++
+	}
+	// The fill advanced every row start to the next row's start; shift back.
+	copy(off[1:], off[:numTrans])
+	off[0] = 0
+	return off, at
 }

@@ -94,7 +94,10 @@ type Job struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Key is the content address of (Kind, Payload); identical submissions
 	// share it, which is what makes the result cache correct.
-	Key     string          `json:"key"`
+	Key string `json:"key"`
+	// Payload is the submitted work, kept only while the job is queued or
+	// running: it is dropped when the job reaches a terminal state and never
+	// kept for a cache hit.
 	Payload json.RawMessage `json:"payload,omitempty"`
 	State   State           `json:"state"`
 	// Cached marks a submission answered from the result cache without

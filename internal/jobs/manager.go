@@ -246,10 +246,11 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 		Priority:   req.Priority,
 		Tenant:     req.Tenant,
 		Key:        key,
-		Payload:    append(json.RawMessage(nil), req.Payload...),
 		EnqueuedAt: now,
 	}
 
+	// A cache hit is finished on arrival and never keeps its payload: only
+	// queued and running jobs need one (see recordDoneLocked).
 	if result, ok := m.cache.get(key); ok {
 		j.ID = m.issueIDLocked()
 		j.State = StateSucceeded
@@ -289,6 +290,7 @@ func (m *Manager) Submit(req SubmitRequest) (*Job, error) {
 
 	j.ID = m.issueIDLocked()
 	j.State = StateQueued
+	j.Payload = append(json.RawMessage(nil), req.Payload...)
 	// Install before appending: appendLocked may compact, and the snapshot
 	// must already include this job once its submit record is gone.
 	m.jobs[j.ID] = j
@@ -449,7 +451,12 @@ func (m *Manager) finishLocked(j *Job, result json.RawMessage, err error) {
 	}
 }
 
+// recordDoneLocked records a terminal outcome. The job's payload is dropped
+// first: job views never show it and WAL recovery replays only queued or
+// running jobs, so a finished job has no further use for it (and a snapshot
+// taken by this append carries none).
 func (m *Manager) recordDoneLocked(j *Job) {
+	j.Payload = nil
 	if err := m.appendLocked(walRecord{
 		Op: opDone, ID: j.ID, State: j.State,
 		Result: j.Result, Error: j.Error, At: j.FinishedAt,
@@ -507,6 +514,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 		m.removeQueuedLocked(j)
 		j.State = StateCanceled
 		j.FinishedAt = time.Now()
+		j.Payload = nil
 		if err := m.appendLocked(walRecord{Op: opCancel, ID: id, At: j.FinishedAt}); err != nil {
 			m.log.Error("jobs: wal append failed", "job", id, "error", err.Error())
 		}

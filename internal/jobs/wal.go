@@ -146,11 +146,13 @@ func applyRecord(jobs map[string]*Job, rec walRecord) {
 			j.Result = rec.Result
 			j.Error = rec.Error
 			j.FinishedAt = rec.At
+			j.Payload = nil
 		}
 	case opCancel:
 		if j, ok := jobs[rec.ID]; ok && !j.State.Terminal() {
 			j.State = StateCanceled
 			j.FinishedAt = rec.At
+			j.Payload = nil
 		}
 	}
 }

@@ -66,15 +66,17 @@ func TestWALReplayExactlyOnce(t *testing.T) {
 	}
 
 	// Phase 1a: jobs 1-3 run to completion.
+	ids := make(map[int]string)
 	for n := 1; n <= 3; n++ {
-		if _, err := m.Submit(SubmitRequest{Kind: "count", Payload: payloadN(n)}); err != nil {
+		j, err := m.Submit(SubmitRequest{Kind: "count", Payload: payloadN(n)})
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids[n] = j.ID
 	}
 	waitIdle(t, m)
 
 	// Phase 1b: jobs 4-5 occupy both workers mid-run; 6-10 pile up queued.
-	ids := make(map[int]string)
 	for n := 4; n <= 10; n++ {
 		j, err := m.Submit(SubmitRequest{Kind: "count", Payload: payloadN(n)})
 		if err != nil {
@@ -142,16 +144,9 @@ func TestWALReplayExactlyOnce(t *testing.T) {
 	}
 
 	// Results recorded before the crash survive verbatim.
-	all := m2.List()
-	var one *Job
-	for _, j := range all {
-		if string(j.Payload) == `{"n":1}` && !j.Cached {
-			one = j
-			break
-		}
-	}
-	if one == nil {
-		t.Fatal("pre-crash job 1 missing after recovery")
+	one, err := m2.Get(ids[1])
+	if err != nil {
+		t.Fatalf("pre-crash job 1 missing after recovery: %v", err)
 	}
 	if string(one.Result) != `{"ran":{"n":1}}` {
 		t.Fatalf("pre-crash result = %s", one.Result)
