@@ -14,15 +14,14 @@ import (
 	"time"
 
 	"cfsmdiag/internal/cfsm"
-	"cfsmdiag/internal/experiments"
 	"cfsmdiag/internal/paper"
 )
 
 // cmdJobs is the client for the /v1/jobs batch API of a running `cfsmdiag
-// serve -jobs` service, plus the in-process E13 throughput bench.
+// serve -jobs` service.
 func cmdJobs(args []string, out io.Writer) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: cfsmdiag jobs <submit|status|result|cancel|list|watch|bench> ...")
+		return fmt.Errorf("usage: cfsmdiag jobs <submit|status|result|cancel|list|watch> ...")
 	}
 	switch args[0] {
 	case "submit":
@@ -37,10 +36,8 @@ func cmdJobs(args []string, out io.Writer) error {
 		return cmdJobsList(args[1:], out)
 	case "watch":
 		return cmdJobsWatch(args[1:], out)
-	case "bench":
-		return cmdJobsBench(args[1:], out)
 	default:
-		return fmt.Errorf("unknown jobs subcommand %q (want submit, status, result, cancel, list, watch or bench)", args[0])
+		return fmt.Errorf("unknown jobs subcommand %q (want submit, status, result, cancel, list or watch)", args[0])
 	}
 }
 
@@ -440,40 +437,4 @@ func watchJob(addr, id string, interval time.Duration, out io.Writer) error {
 			return err
 		}
 	}
-}
-
-// cmdJobsBench runs experiment E13 in-process (no server needed) and writes
-// the machine-readable record, mirroring `cfsmdiag sweep -benchjson`.
-func cmdJobsBench(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("jobs bench", flag.ContinueOnError)
-	total := fs.Int("jobs", 500, "total submissions (unique + seeded duplicates)")
-	unique := fs.Int("unique", 0, "distinct payloads (0 = the full Figure 1 mutant space)")
-	workers := fs.Int("workers", 0, "job worker pool size (<=0 = GOMAXPROCS)")
-	seed := fs.Int64("seed", 1, "seed for the duplicate-draw schedule")
-	path := fs.String("out", "BENCH_jobs.json", "output path for the record")
-	if err := parseArgs(fs, args); err != nil {
-		return err
-	}
-	rec, err := experiments.RunJobsBench(experiments.JobsBenchOptions{
-		Jobs:    *total,
-		Unique:  *unique,
-		Workers: *workers,
-		Seed:    *seed,
-	})
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s: %d jobs (%d unique + %d cached) on %d workers; cold %.0f jobs/sec, cached %.0f jobs/sec (%.0fx), mean wait %.2fms, mean run %.2fms\n",
-		*path, rec.Jobs, rec.Unique, rec.Duplicates, rec.Workers,
-		rec.ColdJobsPerSec, rec.CachedJobsPerSec, rec.CacheSpeedup,
-		rec.MeanWaitMS, rec.MeanRunMS)
-	return nil
 }

@@ -11,7 +11,7 @@
 //	cfsmdiag verifysuite <system.json> [-minimize]        fault-model-complete suite
 //	cfsmdiag detect      <system.json> [-suite s] [-address]  detection report
 //	cfsmdiag mutants     <system.json>                    enumerate faults
-//	cfsmdiag sweep       <system.json>|-paper [-workers N] [-equiv] [-benchjson f]
+//	cfsmdiag sweep       <system.json>|-paper [-workers N] [-equiv]
 //	                     exhaustive parallel mutant sweep (E5); with
 //	                     [-distributed -coordinator URL | -distributed
 //	                     -workers-urls u1,u2] the sweep is sharded over
@@ -37,11 +37,10 @@
 //	                     versioned JSON-over-HTTP service with /metrics + /healthz;
 //	                     -cluster mounts the /v1/cluster sweep coordinator and
 //	                     -worker turns the process into a range-pulling sweep peer
-//	cfsmdiag jobs        <submit|status|result|cancel|list|watch|bench> ...
+//	cfsmdiag jobs        <submit|status|result|cancel|list|watch> ...
 //	                     client for the /v1/jobs batch API of a running service
 //	                     (watch and submit -wait follow the SSE event stream,
-//	                     falling back to long-polling);
-//	                     bench runs the E13 throughput experiment in-process
+//	                     falling back to long-polling)
 //	cfsmdiag loadgen     [-out BENCH_load.json] [-seed S] [-rates r1,r2,...]
 //	                     [-step d] [-base URL] [-gate f [-tolerance-p99 f]
 //	                     [-tolerance-goodput f] [-tolerance-body f]]
@@ -53,8 +52,6 @@
 //	cfsmdiag convert     <model.json|model.bin> -o <out>   convert between the
 //	                     JSON and versioned binary model formats
 //	cfsmdiag info        <model.json|model.bin>  header, content hash and shape
-//	cfsmdiag compilebench [-out BENCH_compile.json]  E14: compiled-representation
-//	                     speedup record (interpreted vs compiled hot paths)
 //	cfsmdiag clusterbench [-out BENCH_cluster.json] [-workers N] [-sweeps N]
 //	                     E15: multi-process distributed-sweep scaling record;
 //	                     re-execs itself as GOMAXPROCS=1 worker processes and
@@ -120,7 +117,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: cfsmdiag <validate|dot|simulate|tour|mutants|sweep|inject|diagnose|replay|seq|verifysuite|detect|analyze|record|serve|jobs|loadgen|convert|info|compilebench|clusterbench> ...")
+		return fmt.Errorf("usage: cfsmdiag <validate|dot|simulate|tour|mutants|sweep|inject|diagnose|replay|seq|verifysuite|detect|analyze|record|serve|jobs|loadgen|convert|info|clusterbench> ...")
 	}
 	switch args[0] {
 	case "validate":
@@ -161,8 +158,6 @@ func run(args []string, out io.Writer) error {
 		return cmdConvert(args[1:], out)
 	case "info":
 		return cmdInfo(args[1:], out)
-	case "compilebench":
-		return cmdCompileBench(args[1:], out)
 	case "clusterbench":
 		return cmdClusterBench(args[1:], out)
 	default:

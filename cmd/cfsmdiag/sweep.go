@@ -1,19 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"strings"
-	"testing"
 	"time"
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/experiments"
-	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/testgen"
 	"cfsmdiag/internal/trace"
@@ -28,7 +25,6 @@ func cmdSweep(args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "parallel diagnosis workers (0 = GOMAXPROCS)")
 	equiv := fs.Bool("equiv", false, "check undetected/wrongly-localized mutants for observational equivalence (slow)")
 	usePaper := fs.Bool("paper", false, "sweep the built-in Figure 1 paper system instead of a JSON file")
-	benchJSON := fs.String("benchjson", "", "measure serial vs. parallel sweep and simulator allocations, write the record to this path (e.g. BENCH_sweep.json)")
 	stats := fs.Bool("stats", false, "append a cost report (oracle queries, per-mutant latency, simulator steps)")
 	tracePath := fs.String("trace", "", "write a structured JSONL trace of the first traced failing mutants to this path")
 	traceFailures := fs.Int("tracefailures", 1, "how many failing mutants to trace (with -trace)")
@@ -44,22 +40,19 @@ func cmdSweep(args []string, out io.Writer) error {
 	}
 	var sys *cfsm.System
 	var err error
-	label := ""
 	switch {
 	case *usePaper:
 		if fs.NArg() != 0 {
 			return fmt.Errorf("usage: cfsmdiag sweep -paper [-workers N] (no system file with -paper)")
 		}
 		sys = paper.MustFigure1()
-		label = "figure1"
 	case fs.NArg() == 1:
 		sys, err = loadSystem(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		label = fs.Arg(0)
 	default:
-		return fmt.Errorf("usage: cfsmdiag sweep <system.json> [-suite s.json] [-workers N] [-equiv] [-benchjson out.json] [-trace out.jsonl [-tracefailures N]]")
+		return fmt.Errorf("usage: cfsmdiag sweep <system.json> [-suite s.json] [-workers N] [-equiv] [-trace out.jsonl [-tracefailures N]]")
 	}
 
 	var suite []cfsm.TestCase
@@ -93,8 +86,8 @@ func cmdSweep(args []string, out io.Writer) error {
 	}
 
 	if *distributed {
-		if *benchJSON != "" || *stats || *tracePath != "" {
-			return fmt.Errorf("-benchjson, -stats and -trace are local-sweep features; drop them with -distributed")
+		if *stats || *tracePath != "" {
+			return fmt.Errorf("-stats and -trace are local-sweep features; drop them with -distributed")
 		}
 		return runDistributedSweep(sys, suite, distSweepConfig{
 			coordinator: strings.TrimRight(*coordURL, "/"),
@@ -102,10 +95,6 @@ func cmdSweep(args []string, out io.Writer) error {
 			rangeSize:   *rangeSize,
 			equiv:       *equiv,
 		}, out)
-	}
-
-	if *benchJSON != "" {
-		return writeSweepBench(label, sys, suite, effective, *benchJSON, out)
 	}
 
 	opts := experiments.SweepOptions{Workers: effective, CheckEquivalence: *equiv}
@@ -152,114 +141,5 @@ func cmdSweep(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "trace: wrote %d events for %d traced mutants to %s\n",
 			tr.Len(), trace.CountKind(tr.Events(), trace.KindSweepMutant, trace.PhaseBegin), *tracePath)
 	}
-	return nil
-}
-
-// SweepBenchRow is one worker-count measurement of the sweep benchmark. The
-// per-row gomaxprocs records the parallelism actually available when the row
-// ran: a "speedup" above 1 is only achievable when gomaxprocs > 1, so the
-// record can no longer claim parallel gains it never had (an earlier record
-// reported a 0.92x "speedup" measured on a single core without saying so).
-type SweepBenchRow struct {
-	Workers         int     `json:"workers"`
-	GoMaxProcs      int     `json:"gomaxprocs"`
-	NsPerOp         int64   `json:"ns_per_op"`
-	MutantsPerSec   float64 `json:"mutants_per_sec"`
-	AllocsPerOp     int64   `json:"allocs_per_op"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-}
-
-// SweepBenchRecord is the machine-readable performance record emitted by
-// `cfsmdiag sweep -benchjson`: a worker-count matrix over the full sweep
-// (compiled engine, the default) plus the raw simulator hot path.
-type SweepBenchRecord struct {
-	System     string          `json:"system"`
-	Engine     string          `json:"engine"`
-	Mutants    int             `json:"mutants"`
-	SuiteCases int             `json:"suite_cases"`
-	GoMaxProcs int             `json:"gomaxprocs"`
-	Rows       []SweepBenchRow `json:"rows"`
-
-	SimulationNsPerOp     int64 `json:"simulation_ns_per_op"`
-	SimulationAllocsPerOp int64 `json:"simulation_allocs_per_op"`
-	SimulationBytesPerOp  int64 `json:"simulation_bytes_per_op"`
-}
-
-// writeSweepBench benchmarks the sweep at 1, 4 and 8 workers (plus the
-// -workers flag's count when it is none of those) and the raw simulator hot
-// path, and writes the record as indented JSON.
-func writeSweepBench(label string, sys *cfsm.System, suite []cfsm.TestCase, workers int, path string, out io.Writer) error {
-	mutants := len(fault.Enumerate(sys))
-	rec := SweepBenchRecord{
-		System:     label,
-		Engine:     "compiled",
-		Mutants:    mutants,
-		SuiteCases: len(suite),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-	counts := []int{1, 4, 8}
-	if workers > 0 && workers != 1 && workers != 4 && workers != 8 {
-		counts = append(counts, workers)
-	}
-
-	sweepBench := func(w int) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunSweepOpts(sys, suite,
-					experiments.SweepOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	var serialNs int64
-	for _, w := range counts {
-		res := sweepBench(w)
-		row := SweepBenchRow{
-			Workers:       w,
-			GoMaxProcs:    runtime.GOMAXPROCS(0),
-			NsPerOp:       res.NsPerOp(),
-			MutantsPerSec: float64(mutants) / (float64(res.NsPerOp()) / 1e9),
-			AllocsPerOp:   res.AllocsPerOp(),
-		}
-		if w == 1 {
-			serialNs = res.NsPerOp()
-		}
-		if serialNs > 0 {
-			row.SpeedupVsSerial = float64(serialNs) / float64(res.NsPerOp())
-		}
-		rec.Rows = append(rec.Rows, row)
-	}
-
-	sim := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, tc := range suite {
-				if _, err := sys.Run(tc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	rec.SimulationNsPerOp = sim.NsPerOp()
-	rec.SimulationAllocsPerOp = sim.AllocsPerOp()
-	rec.SimulationBytesPerOp = sim.AllocedBytesPerOp()
-
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s (GOMAXPROCS=%d):\n", path, rec.GoMaxProcs)
-	for _, row := range rec.Rows {
-		fmt.Fprintf(out, "  workers=%d: %.0f mutants/sec (%.2fx vs serial)\n",
-			row.Workers, row.MutantsPerSec, row.SpeedupVsSerial)
-	}
-	fmt.Fprintf(out, "  simulation: %d ns/op, %d allocs/op\n",
-		rec.SimulationNsPerOp, rec.SimulationAllocsPerOp)
 	return nil
 }

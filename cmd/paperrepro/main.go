@@ -18,14 +18,11 @@
 //	E12 chaos      — extension: localization robustness under injected
 //	                 observation faults (drop/garble/transient) with the
 //	                 resilient retry/vote oracle layer
-//	E14 compile    — extension: the dense compiled representation vs the
-//	                 interpreted engine on the diagnosis hot paths, plus the
-//	                 model-load trio (JSON parse / binary decode / registry hit)
 //	E18 distobs    — extension: diagnosis from per-port local projections
 //	                 (distributed observation) vs the global sequence —
 //	                 candidate-set growth, Step 6 recovery, localization cost
 //
-// Usage: paperrepro [-experiment all|table1|walkthrough|adaptive|figure1|sweep|cost|extensions|chaos|compile|distobs]
+// Usage: paperrepro [-experiment all|table1|walkthrough|adaptive|figure1|sweep|cost|extensions|chaos|distobs]
 package main
 
 import (
@@ -43,7 +40,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run (all, table1, walkthrough, adaptive, figure1, sweep, cost, extensions, chaos, compile)")
+	experiment := flag.String("experiment", "all", "which experiment to run (all, table1, walkthrough, adaptive, figure1, sweep, cost, extensions, chaos, distobs)")
 	stride := flag.Int("stride", 1, "mutant sampling stride for the cost experiment")
 	dot := flag.Bool("dot", false, "print the Figure 1 DOT graph in the figure1 experiment")
 	flag.Parse()
@@ -67,7 +64,6 @@ func run(experiment string, stride int, dot bool, out io.Writer) error {
 		{"cost", func(w io.Writer) error { return runCostExp(w, stride) }},
 		{"extensions", runExtensions},
 		{"chaos", runChaosExp},
-		{"compile", runCompileExp},
 		{"distobs", runDistObsExp},
 	}
 	matched := false
@@ -331,25 +327,6 @@ func runCostExp(out io.Writer, stride int) error {
 	}
 	fmt.Fprintln(out, "\nCFSM-direct vs product-machine diagnosis on the paper's scenario:")
 	fmt.Fprint(out, cmpRes.Report())
-	return nil
-}
-
-func runCompileExp(out io.Writer) error {
-	fmt.Fprintln(out, "E14: compiled dense representation vs the interpreted engine (Figure 1)")
-	rec, err := experiments.RunCompileBench()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "compile: %d ns once per sweep (%d symbols, %d global configurations)\n",
-		rec.CompileNsPerOp, rec.NumSymbols, rec.Configurations)
-	fmt.Fprintf(out, "  %-22s %14s %14s %10s\n", "serial sweep", "interpreted", "compiled", "ratio")
-	fmt.Fprintf(out, "  %-22s %14d %14d %9.1fx\n", "ns/mutant",
-		rec.InterpretedNsPerMutant, rec.CompiledNsPerMutant, rec.SweepSpeedup)
-	fmt.Fprintf(out, "  %-22s %14d %14d %9.1fx\n", "allocs/sweep",
-		rec.InterpretedAllocsPerOp, rec.CompiledAllocsPerOp, rec.SweepAllocReductionRatio)
-	fmt.Fprintf(out, "model load: JSON parse %d ns, binary decode %d ns, registry hit %d ns\n",
-		rec.JSONParseNsPerOp, rec.BinaryDecodeNsPerOp, rec.RegistryHitNsPerOp)
-	fmt.Fprintln(out, "(write the machine-readable record with `cfsmdiag compilebench`)")
 	return nil
 }
 

@@ -408,6 +408,33 @@ func TestJournalRecovery(t *testing.T) {
 		t.Fatal("no result after recovery")
 	}
 	checkSameResult(t, res, localSweep(t, spec, suite))
+
+	// The work merged after recovery must itself survive a restart: the
+	// torn tail is cut off on open, so the records appended after it start
+	// on a fresh line instead of joining the torn bytes.
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c3, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	got, err = c3.Get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Done != got.Ranges {
+		t.Fatalf("after a second restart %d/%d ranges are done, want all", got.Done, got.Ranges)
+	}
+	if _, err := c3.Get(st2.ID); err != nil {
+		t.Fatalf("sweep created after recovery lost on restart: %v", err)
+	}
+	res, ok = c3.Result(st.ID)
+	if !ok {
+		t.Fatal("no result after the second restart")
+	}
+	checkSameResult(t, res, localSweep(t, spec, suite))
 }
 
 // TestListStableOrder creates several sweeps and requires the listing to

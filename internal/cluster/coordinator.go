@@ -472,6 +472,10 @@ func (c *Coordinator) replay(records []journalRecord) error {
 	for _, rec := range records {
 		switch rec.Op {
 		case opCreate:
+			if rec.RangeSize <= 0 {
+				// Create never journals one; a zero width would shard forever.
+				return fmt.Errorf("cluster: journal sweep %s: range size %d", rec.Sweep, rec.RangeSize)
+			}
 			spec, err := cfsm.ParseSystem(rec.Spec)
 			if err != nil {
 				return fmt.Errorf("cluster: journal sweep %s: %w", rec.Sweep, err)

@@ -1,16 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"time"
 
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/jsonl"
 )
 
 // Journal operations. Creations record the full sweep inputs; results record
@@ -44,37 +42,23 @@ type journal struct {
 func journalPath(dir string) string { return filepath.Join(dir, "cluster.jsonl") }
 
 // openJournal reads every intact record of dir's journal — a torn tail line
-// (crash mid-append) ends the replay without failing it — and returns an
-// append handle positioned after the intact prefix.
+// (crash mid-append) ends the replay without failing it and is cut off — and
+// returns an append handle positioned after the intact prefix.
 func openJournal(dir string) (*journal, []journalRecord, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("cluster: create journal dir: %w", err)
 	}
 	var records []journalRecord
-	if f, err := os.Open(journalPath(dir)); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var rec journalRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break // torn tail write; everything before it is intact
-			}
-			records = append(records, rec)
+	f, err := jsonl.Open(journalPath(dir), func(line []byte) error {
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
-		f.Close()
-		if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-			return nil, nil, fmt.Errorf("cluster: read journal: %w", err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("cluster: open journal: %w", err)
-	}
-	f, err := os.OpenFile(journalPath(dir), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		records = append(records, rec)
+		return nil
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: open journal for append: %w", err)
+		return nil, nil, fmt.Errorf("cluster: open journal: %w", err)
 	}
 	return &journal{f: f}, records, nil
 }

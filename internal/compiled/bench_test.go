@@ -10,12 +10,13 @@ import (
 	"cfsmdiag/internal/testgen"
 )
 
-// The before/after pair backing BENCH_compile.json: the same serial sweep on
-// the interpreted and the compiled engine. Run with
+// The before/after pair of experiment E14: the same serial sweep on the
+// interpreted and the compiled engine. Run with
 //
-//	go test ./internal/compiled -bench Sweep -benchmem
+//	go test ./internal/compiled -bench '^Benchmark(Compile|Sweep(Interpreted|Compiled))$' -benchmem
 //
-// or regenerate the committed record with `cfsmdiag compilebench`.
+// perfbench measures the model-load paths (cfsm.parse_ms,
+// compiled.decode_ms, compiled.compile_ms) end to end.
 
 func BenchmarkCompile(b *testing.B) {
 	spec := paper.MustFigure1()
@@ -42,9 +43,23 @@ func benchmarkSweep(b *testing.B, interpreted bool) {
 func BenchmarkSweepInterpreted(b *testing.B) { benchmarkSweep(b, true) }
 func BenchmarkSweepCompiled(b *testing.B)    { benchmarkSweep(b, false) }
 
-// BenchmarkSweepTour is the workload behind the workers=1 row of
-// BENCH_sweep.json (`cfsmdiag sweep -paper -benchjson`): the Figure 1 sweep
-// with the generated transition-tour suite.
+// TestCompiledSweepFaster: the compiled engine must beat the interpreted
+// reference on the serial Figure 1 sweep it replaces. Skipped in -short
+// mode: it runs both benchmarks.
+func TestCompiledSweepFaster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the sweep benchmarks; skipped in -short mode")
+	}
+	interp := testing.Benchmark(func(b *testing.B) { benchmarkSweep(b, true) })
+	comp := testing.Benchmark(func(b *testing.B) { benchmarkSweep(b, false) })
+	if comp.NsPerOp() >= interp.NsPerOp() {
+		t.Errorf("compiled sweep %d ns/op is not faster than interpreted %d ns/op",
+			comp.NsPerOp(), interp.NsPerOp())
+	}
+}
+
+// BenchmarkSweepTour is the serial Figure 1 sweep with the generated
+// transition-tour suite, the workers=1 row of experiment E17.
 func BenchmarkSweepTour(b *testing.B) {
 	spec := paper.MustFigure1()
 	suite, uncovered := testgen.Tour(spec, 0)

@@ -105,10 +105,9 @@ type SweepOptions struct {
 	// disable in benchmarks).
 	CheckEquivalence bool
 	// Workers is the number of goroutines diagnosing mutants concurrently.
-	// Zero or negative selects runtime.GOMAXPROCS(0). Workers == 1 runs the
-	// exact historical serial path. Any worker count produces a
-	// byte-identical SweepResult: reports stay in fault-enumeration order
-	// and every count is merged deterministically.
+	// Zero or negative selects runtime.GOMAXPROCS(0). Any worker count
+	// produces a byte-identical SweepResult: reports stay in
+	// fault-enumeration order and every count is merged deterministically.
 	Workers int
 	// Registry receives the sweep's telemetry (per-mutant latency histogram,
 	// busy-worker gauge, outcome counters, whole-sweep duration). Nil — the
@@ -125,8 +124,9 @@ type SweepOptions struct {
 	// non-nil Trace means 1.
 	TraceFailures int
 	// Interpreted forces the interpreted reference path: every mutant is a
-	// cloned system and every diagnosis passes core.NewSystemEngine
-	// explicitly, so no compiled Program is touched. By default the sweep
+	// patched copy of the specification (cfsm.Patcher) and every diagnosis
+	// passes core.NewSystemEngine explicitly, so no compiled Program is
+	// touched. By default the sweep
 	// shares the specification's memoised program (internal/compiled)
 	// across workers and diagnoses every mutant against a one-cell table
 	// overlay instead of a cloned system. The two paths produce byte-
@@ -271,12 +271,10 @@ func MergeReports(spec *cfsm.System, suite []cfsm.TestCase, reports []MutantRepo
 
 // runSweepFaults is the sweep engine over an explicit fault list: the whole
 // enumeration for the local sweep, one contiguous range for a cluster worker.
+// Every worker count runs through the same pool; Workers == 1 is a pool of
+// one goroutine that takes the faults in enumeration order.
 func runSweepFaults(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, faults []fault.Fault, opts SweepOptions) (SweepResult, error) {
-	res := SweepResult{
-		Spec:   spec,
-		Suite:  suite,
-		Counts: make(map[MutantOutcome]int),
-	}
+	res := MergeReports(spec, suite, nil)
 	met := newSweepMetrics(opts.Registry)
 	traceBudget := int64(0)
 	if opts.Trace != nil {
@@ -304,65 +302,10 @@ func runSweepFaults(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCas
 			prog, csuite = p, compiled.NewSuite(p, suite)
 		}
 	}
-	// workerEngine returns one goroutine's engine and oracle runner over the
-	// shared program: both reuse scratch buffers and must not cross
-	// goroutines. The compiled suite is immutable and shared by all workers.
-	workerEngine := func() (*compiled.Engine, *compiled.Runner) {
-		eng, _ := compiled.EngineFor(prog) // prog is packable
-		eng.SetSuite(csuite)
-		return eng, prog.NewRunner()
-	}
-
-	if workers == 1 {
-		if prog != nil {
-			eng, oracleR := workerEngine()
-			for _, f := range faults {
-				ov, ok := prog.OverlayFor(f)
-				if !ok {
-					continue // mirrors fault.ForEachMutant's apply-skip
-				}
-				if err := ctx.Err(); err != nil {
-					return res, err
-				}
-				met.busy.Inc()
-				start := time.Now()
-				report, err := diagnoseMutantCompiled(ctx, spec, suite, eng, oracleR, f, ov, opts, &traceBudget)
-				met.busy.Dec()
-				if err != nil {
-					if ctxErr := ctx.Err(); ctxErr != nil {
-						return res, ctxErr
-					}
-					return res, err
-				}
-				met.observe(report, time.Since(start))
-				res.add(report)
-			}
-			return res, nil
-		}
-		err := fault.ForEachMutantOf(spec, faults, func(m fault.Mutant) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			met.busy.Inc()
-			start := time.Now()
-			report, err := diagnoseMutant(ctx, spec, suite, m, opts, &traceBudget)
-			met.busy.Dec()
-			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return ctxErr
-				}
-				return err
-			}
-			met.observe(report, time.Since(start))
-			res.add(report)
-			return nil
-		})
-		return res, err
-	}
 
 	type outcome struct {
-		done    bool // the job ran (diagnosed, failed, or apply-skipped)
-		skipped bool // fault could not be applied; mirrors ForEachMutant's skip
+		done    bool // the job ran (diagnosed, failed, or skipped)
+		skipped bool // the fault could not be realized
 		report  MutantReport
 		err     error
 	}
@@ -381,49 +324,20 @@ func runSweepFaults(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCas
 		}
 	}()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(workers, len(faults)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var eng *compiled.Engine
-			var oracleR *compiled.Runner
-			if prog != nil {
-				eng, oracleR = workerEngine()
-			}
+			w := newSweepWorker(spec, suite, prog, csuite, opts)
 			for idx := range jobs {
-				var report MutantReport
-				var err error
-				if eng != nil {
-					ov, ok := prog.OverlayFor(faults[idx])
-					if !ok {
-						// Mirrors the skip in fault.ForEachMutant; cannot
-						// happen for Enumerate's output.
-						results[idx] = outcome{done: true, skipped: true}
-						continue
-					}
-					met.busy.Inc()
-					start := time.Now()
-					report, err = diagnoseMutantCompiled(wctx, spec, suite, eng, oracleR, faults[idx], ov, opts, &traceBudget)
-					met.busy.Dec()
-					results[idx] = outcome{done: true, report: report, err: err}
-					if err != nil {
-						cancel()
-						return
-					}
-					met.observe(report, time.Since(start))
-					continue
-				}
-				sys, err := faults[idx].Apply(spec)
-				if err != nil {
-					// Mirrors the skip in fault.ForEachMutant; cannot happen
-					// for Enumerate's output.
+				if !w.load(faults[idx]) {
+					// Cannot happen for Enumerate's output.
 					results[idx] = outcome{done: true, skipped: true}
 					continue
 				}
-				m := fault.Mutant{Fault: faults[idx], System: sys}
 				met.busy.Inc()
 				start := time.Now()
-				report, err = diagnoseMutant(wctx, spec, suite, m, opts, &traceBudget)
+				report, err := w.diagnoseMutant(wctx, faults[idx], &traceBudget)
 				met.busy.Dec()
 				// Each worker writes only its own index; no lock needed.
 				results[idx] = outcome{done: true, report: report, err: err}
@@ -479,68 +393,102 @@ func (res *SweepResult) add(report MutantReport) {
 	res.Reports = append(res.Reports, report)
 }
 
-// diagnoseMutant runs the full Steps 1–6 diagnosis of one mutant against the
-// specification on the interpreted reference engine and classifies the
-// outcome. It is pure with respect to shared state — spec and suite are
-// read-only — and therefore safe to call from concurrent sweep workers.
-func diagnoseMutant(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, m fault.Mutant, opts SweepOptions, traceBudget *int64) (MutantReport, error) {
-	report := MutantReport{Fault: m.Fault}
-	oracle := &core.SystemOracle{Sys: m.System}
-	loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, core.WithRegistry(opts.Registry),
-		core.WithEngine(core.NewSystemEngine(spec)))
-	if err != nil {
-		return report, fmt.Errorf("diagnose %s: %w", m.Fault.Describe(spec), err)
-	}
-	report.AdditionalTests = oracle.Tests - len(suite)
-	report.AdditionalIn = oracle.Inputs
-	classifyOutcome(loc, m.Fault, &report, opts.CheckEquivalence,
-		func() bool { return testgen.SystemsEquivalent(spec, m.System) },
-		func(diagnosed fault.Fault) bool { return diagnosedEquivalent(spec, diagnosed, m.System) })
-	if opts.Trace != nil && report.Outcome != OutcomeUndetected && atomic.AddInt64(traceBudget, -1) >= 0 {
-		traceMutant(ctx, spec, suite, m, report.Outcome, opts.Trace)
-	}
-	return report, nil
+// sweepWorker is one goroutine's diagnosis substrate, built once and reused
+// for every fault the goroutine takes. On the compiled path it is an engine
+// and an oracle runner over the shared Program, and each fault is a table
+// overlay on the runner. On the interpreted path it is a cfsm.Patcher, and
+// each fault is one patched transition of the patcher's scratch system.
+// Neither substrate may cross goroutines.
+type sweepWorker struct {
+	spec  *cfsm.System
+	suite []cfsm.TestCase
+	opts  SweepOptions
+	// engine runs the analysis: eng on the compiled path, the interpreted
+	// reference engine otherwise.
+	engine core.Engine
+
+	prog   *compiled.Program // nil on the interpreted path
+	eng    *compiled.Engine
+	runner *compiled.Runner
+
+	patcher *cfsm.Patcher
+	mutant  *cfsm.System // the loaded mutant; aliases the patcher
 }
 
-// diagnoseMutantCompiled is diagnoseMutant on the compiled substrate: the
-// injected fault is realized as a table overlay on the oracle runner instead
-// of a cloned system, and the analysis itself runs on the worker's compiled
-// engine. Verdicts, counts and classification are byte-identical to the
-// interpreted path.
-func diagnoseMutantCompiled(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, eng *compiled.Engine, oracleR *compiled.Runner, f fault.Fault, ov compiled.Overlay, opts SweepOptions, traceBudget *int64) (MutantReport, error) {
-	report := MutantReport{Fault: f}
-	oracleR.SetOverlay(ov)
-	oracle := &compiled.Oracle{R: oracleR}
-	loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, core.WithRegistry(opts.Registry), core.WithEngine(eng))
-	if err != nil {
-		return report, fmt.Errorf("diagnose %s: %w", f.Describe(spec), err)
+func newSweepWorker(spec *cfsm.System, suite []cfsm.TestCase, prog *compiled.Program, csuite *compiled.Suite, opts SweepOptions) *sweepWorker {
+	w := &sweepWorker{spec: spec, suite: suite, opts: opts, prog: prog}
+	if prog == nil {
+		w.engine, w.patcher = core.NewSystemEngine(spec), cfsm.NewPatcher(spec)
+		return w
 	}
-	report.AdditionalTests = oracle.Tests - len(suite)
-	report.AdditionalIn = oracle.Inputs
-	classifyOutcome(loc, f, &report, opts.CheckEquivalence,
-		func() bool { return eng.FaultEquivalentToSpec(f) },
-		func(diagnosed fault.Fault) bool { return eng.FaultsEquivalent(diagnosed, f) })
-	if opts.Trace != nil && report.Outcome != OutcomeUndetected && atomic.AddInt64(traceBudget, -1) >= 0 {
-		// The traced re-run stays on the interpreted path: it needs a mutant
-		// system for the oracle and is off the hot path by construction.
-		if sys, err := f.Apply(spec); err == nil {
-			traceMutant(ctx, spec, suite, fault.Mutant{Fault: f, System: sys}, report.Outcome, opts.Trace)
+	w.eng, _ = compiled.EngineFor(prog) // prog is packable
+	w.eng.SetSuite(csuite)
+	w.engine, w.runner = w.eng, prog.NewRunner()
+	return w
+}
+
+// load makes fault f the worker's implementation under test. It reports
+// false when the fault cannot be realized.
+func (w *sweepWorker) load(f fault.Fault) bool {
+	if w.prog != nil {
+		ov, ok := w.prog.OverlayFor(f)
+		if ok {
+			w.runner.SetOverlay(ov)
 		}
+		return ok
+	}
+	sys, err := f.ApplyPatched(w.spec, w.patcher)
+	w.mutant = sys
+	return err == nil
+}
+
+// oracle returns a fresh oracle over the loaded mutant and its test and
+// input counters.
+func (w *sweepWorker) oracle() (o core.Oracle, tests, inputs *int) {
+	if w.prog != nil {
+		co := &compiled.Oracle{R: w.runner}
+		return co, &co.Tests, &co.Inputs
+	}
+	so := &core.SystemOracle{Sys: w.mutant}
+	return so, &so.Tests, &so.Inputs
+}
+
+// diagnoseMutant runs the full Steps 1–6 diagnosis of the loaded mutant
+// (fault f) against the specification and classifies the outcome. The
+// specification and suite are read-only, so workers run it concurrently.
+// The first failing mutants within the trace budget are diagnosed a second
+// time, traced, on the same engine and oracle.
+func (w *sweepWorker) diagnoseMutant(ctx context.Context, f fault.Fault, traceBudget *int64) (MutantReport, error) {
+	report := MutantReport{Fault: f}
+	oracle, tests, inputs := w.oracle()
+	loc, err := core.DiagnoseContext(ctx, w.spec, w.suite, oracle,
+		core.WithRegistry(w.opts.Registry), core.WithEngine(w.engine))
+	if err != nil {
+		return report, fmt.Errorf("diagnose %s: %w", f.Describe(w.spec), err)
+	}
+	report.AdditionalTests = *tests - len(w.suite)
+	report.AdditionalIn = *inputs
+	w.classify(loc, f, &report)
+	if w.opts.Trace != nil && report.Outcome != OutcomeUndetected && atomic.AddInt64(traceBudget, -1) >= 0 {
+		w.trace(ctx, f, report.Outcome)
 	}
 	return report, nil
 }
 
-// classifyOutcome folds a localization verdict into the report, with the
-// equivalence predicates abstracted so the interpreted and compiled paths
-// classify identically: specEquiv decides mutant ≡ specification for
-// undetected mutants, diagEquiv decides diagnosed-fault ≡ injected-fault for
-// wrong localizations.
-func classifyOutcome(loc *core.Localization, injected fault.Fault, report *MutantReport, checkEquivalence bool, specEquiv func() bool, diagEquiv func(diagnosed fault.Fault) bool) {
+// classify folds a localization verdict into the report. The equivalence
+// checks run on the worker's substrate: the compiled engine's product
+// searches, or testgen.SystemsEquivalent over the patched mutant.
+func (w *sweepWorker) classify(loc *core.Localization, injected fault.Fault, report *MutantReport) {
+	check := w.opts.CheckEquivalence
 	switch loc.Verdict {
 	case core.VerdictNoFault:
 		report.Outcome = OutcomeUndetected
-		if checkEquivalence {
-			report.EquivalentToSpec = specEquiv()
+		if check {
+			if w.prog != nil {
+				report.EquivalentToSpec = w.eng.FaultEquivalentToSpec(injected)
+			} else {
+				report.EquivalentToSpec = testgen.SystemsEquivalent(w.spec, w.mutant)
+			}
 		}
 	case core.VerdictLocalized:
 		switch {
@@ -549,7 +497,7 @@ func classifyOutcome(loc *core.Localization, injected fault.Fault, report *Mutan
 			report.ExactFault = *loc.Fault == injected
 		default:
 			report.Outcome = OutcomeLocalizedWrong
-			if checkEquivalence && diagEquiv(*loc.Fault) {
+			if check && w.diagnosedEquivalent(*loc.Fault, injected) {
 				report.Outcome = OutcomeLocalizedEquivalent
 			}
 		}
@@ -566,27 +514,32 @@ func classifyOutcome(loc *core.Localization, injected fault.Fault, report *Mutan
 	}
 }
 
-// traceMutant re-runs one detected mutant's diagnosis with structured tracing
-// enabled, inside a sweep.mutant span, on the interpreted reference engine.
-// The diagnosis is deterministic, so the re-run repeats exactly the result
-// just classified; tracing the second pass keeps the tracer entirely off the
-// untraced mutants' path.
-func traceMutant(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, m fault.Mutant, out MutantOutcome, tr *trace.Tracer) {
-	span := tr.Begin(trace.KindSweepMutant,
-		trace.A("fault", m.Fault.Describe(spec)),
+// diagnosedEquivalent decides whether the diagnosed fault is observationally
+// equivalent to the injected (loaded) one.
+func (w *sweepWorker) diagnosedEquivalent(diagnosed, injected fault.Fault) bool {
+	if w.prog != nil {
+		return w.eng.FaultsEquivalent(diagnosed, injected)
+	}
+	sys, err := diagnosed.Apply(w.spec)
+	if err != nil {
+		return false
+	}
+	return testgen.SystemsEquivalent(sys, w.mutant)
+}
+
+// trace re-runs the loaded mutant's diagnosis with structured tracing
+// enabled, inside a sweep.mutant span. The diagnosis is deterministic, so
+// the re-run repeats exactly the result just classified; tracing the second
+// pass keeps the tracer entirely off the untraced mutants' path.
+func (w *sweepWorker) trace(ctx context.Context, f fault.Fault, out MutantOutcome) {
+	span := w.opts.Trace.Begin(trace.KindSweepMutant,
+		trace.A("fault", f.Describe(w.spec)),
 		trace.A("outcome", out.String()))
-	if _, err := core.DiagnoseContext(ctx, spec, suite, &core.SystemOracle{Sys: m.System}, core.WithTrace(tr),
-		core.WithEngine(core.NewSystemEngine(spec))); err != nil {
+	oracle, _, _ := w.oracle()
+	if _, err := core.DiagnoseContext(ctx, w.spec, w.suite, oracle,
+		core.WithTrace(w.opts.Trace), core.WithEngine(w.engine)); err != nil {
 		span.End(trace.A("error", err.Error()))
 		return
 	}
 	span.End()
-}
-
-func diagnosedEquivalent(spec *cfsm.System, diagnosed fault.Fault, mutant *cfsm.System) bool {
-	sys, err := diagnosed.Apply(spec)
-	if err != nil {
-		return false
-	}
-	return testgen.SystemsEquivalent(sys, mutant)
 }

@@ -196,18 +196,9 @@ type Mutant struct {
 // need long-lived mutant systems should use Mutants or Fault.Apply. A
 // non-nil error from fn stops the enumeration and is returned.
 func ForEachMutant(spec *cfsm.System, fn func(Mutant) error) error {
-	return ForEachMutantOf(spec, Enumerate(spec), fn)
-}
-
-// ForEachMutantOf streams the mutants of an explicit fault list with the
-// same scratch-buffer reuse as ForEachMutant. The list is typically a
-// contiguous slice of Enumerate's output: the distributed sweep shards the
-// enumeration into index ranges and each worker realizes only its range,
-// without materializing the rest of the space.
-func ForEachMutantOf(spec *cfsm.System, faults []Fault, fn func(Mutant) error) error {
 	p := cfsm.NewPatcher(spec)
-	for _, f := range faults {
-		sys, err := f.applyPatched(spec, p)
+	for _, f := range Enumerate(spec) {
+		sys, err := f.ApplyPatched(spec, p)
 		if err != nil {
 			continue
 		}
@@ -218,11 +209,11 @@ func ForEachMutantOf(spec *cfsm.System, faults []Fault, fn func(Mutant) error) e
 	return nil
 }
 
-// applyPatched realizes the fault against the patcher's scratch buffers: the
+// ApplyPatched realizes the fault against the patcher's scratch buffers: the
 // validation runs against the specification exactly as in Apply, but the
 // mutant aliases the patcher and stays valid only until its machine is
 // patched again.
-func (f Fault) applyPatched(spec *cfsm.System, p *cfsm.Patcher) (*cfsm.System, error) {
+func (f Fault) ApplyPatched(spec *cfsm.System, p *cfsm.Patcher) (*cfsm.System, error) {
 	if err := f.Validate(spec); err != nil {
 		return nil, err
 	}

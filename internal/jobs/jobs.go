@@ -8,8 +8,7 @@
 // in-repo obs and trace layers) and knows nothing about diagnosis: work is
 // an opaque JSON payload dispatched to an Executor registered per job kind.
 // internal/server registers the "diagnose" and "sweep" executors and exposes
-// the queue as /v1/jobs; internal/experiments drives it directly for the E13
-// throughput experiment.
+// the queue as /v1/jobs.
 //
 // # Durability
 //
@@ -22,7 +21,7 @@
 // once after the restart (a run that never wrote its "done" record did not
 // happen, so repeating it is the exactly-once outcome, not a duplicate).
 // A Manager opened without a directory has identical queue semantics but no
-// durability; it backs tests and the in-process experiment harness.
+// durability; it backs tests.
 //
 // # Admission control
 //

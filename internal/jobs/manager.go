@@ -195,6 +195,17 @@ func (m *Manager) recover(recovered map[string]*Job) {
 			m.emitLocked(j, false)
 			continue
 		}
+		// Work this manager cannot run — a kind with no executor (a restart
+		// without it, or a corrupt log) or a priority class with no queue —
+		// fails instead of reaching a worker.
+		if m.execs[j.Kind] == nil || !ValidPriority(j.Priority) {
+			j.State = StateFailed
+			j.Error = fmt.Sprintf("jobs: recovered job of kind %q and priority %q cannot run", j.Kind, j.Priority)
+			j.FinishedAt = time.Now()
+			j.Payload = nil
+			m.emitLocked(j, false)
+			continue
+		}
 		// Queued or mid-run at the crash: back to the queue. The started-at
 		// stamp belongs to the aborted run, so clear it.
 		j.State = StateQueued

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"cfsmdiag/internal/jsonl"
 )
 
 // The durable store is a classic snapshot + write-ahead-log pair:
@@ -68,8 +69,8 @@ func snapshotPath(dir string) string { return filepath.Join(dir, "snapshot.json"
 // openStore loads the persisted state (snapshot, then WAL replay) and leaves
 // the WAL open for appending. It returns the recovered jobs keyed by ID and
 // the next ID counter. Unparseable trailing WAL lines — the signature of a
-// crash mid-append — are tolerated: replay stops at the first bad line and
-// reports how many records it kept.
+// crash mid-append — are tolerated: replay stops at the first bad line,
+// which is cut off together with everything after it.
 func openStore(dir string) (*store, map[string]*Job, int, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("jobs: create store dir: %w", err)
@@ -92,37 +93,21 @@ func openStore(dir string) (*store, map[string]*Job, int, error) {
 		return nil, nil, 0, fmt.Errorf("jobs: read snapshot: %w", err)
 	}
 
-	if f, err := os.Open(walPath(dir)); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var rec walRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break // torn tail write; everything before it is intact
-			}
-			applyRecord(jobs, rec)
+	wal, err := jsonl.Open(walPath(dir), func(line []byte) error {
+		var rec walRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
-		f.Close()
-		if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-			return nil, nil, 0, fmt.Errorf("jobs: read wal: %w", err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
+		applyRecord(jobs, rec)
+		return nil
+	})
+	if err != nil {
 		return nil, nil, 0, fmt.Errorf("jobs: open wal: %w", err)
 	}
-
 	for id := range jobs {
 		if n := idNumber(id); n >= nextID {
 			nextID = n + 1
 		}
-	}
-
-	wal, err := os.OpenFile(walPath(dir), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("jobs: open wal for append: %w", err)
 	}
 	return &store{dir: dir, wal: wal}, jobs, nextID, nil
 }

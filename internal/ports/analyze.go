@@ -16,14 +16,13 @@ import (
 type Option func(*config)
 
 type config struct {
-	registry     *obs.Registry
-	tracer       *trace.Tracer
-	coreOpts     []core.Option
-	closureLimit int
+	registry *obs.Registry
+	tracer   *trace.Tracer
+	coreOpts []core.Option
 }
 
 func newConfig(opts []Option) config {
-	cfg := config{closureLimit: DefaultClosureLimit}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -56,16 +55,6 @@ func WithTrace(t *trace.Tracer) Option {
 // not be supplied here.
 func WithCoreOptions(opts ...core.Option) Option {
 	return func(c *config) { c.coreOpts = append(c.coreOpts, opts...) }
-}
-
-// WithClosureLimit bounds the explicit interleaving enumeration of Closure
-// when it is used for cross-checking. Zero or negative keeps the default.
-func WithClosureLimit(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.closureLimit = n
-		}
-	}
 }
 
 // Matcher returns the core.ObsMatcher realizing distributed observation for
@@ -191,7 +180,7 @@ func AnalyzeObserved(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm
 		// bounded explicit enumeration and record the union conflict set the
 		// symptomatic case implies.
 		if !res.Full && cfg.tracer.Enabled() {
-			if cl, err := Closure(spec, pm, tc, p, cfg.closureLimit); err == nil {
+			if cl, err := Closure(spec, pm, tc, p, DefaultClosureLimit); err == nil {
 				cfg.tracer.Emit(trace.KindPortsClosure,
 					trace.KV{K: "case", V: tc.Name},
 					trace.KV{K: "explored", V: strconv.Itoa(cl.Explored)},
